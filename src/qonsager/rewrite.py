@@ -5,13 +5,20 @@ The single installed rule solves the defining relation for A^3 A*:
     A^3 A*  ->  [3]_q A^2 A* A  -  [3]_q A A* A^2  +  A* A^3  +  rho0 (A A* - A* A)
 
 ``reduce_once`` applies it once, at the leftmost occurrence inside the
-leftmost reducible word (canonical term order); ``normal_form`` is the fixed
-point.  For speed the fixed point is computed by wholesale substitution:
-every maximal block A^n A* (n >= 3) is replaced in one shot by the memoized
-normal form of A^n A*.  The memo is bootstrapped from the basic rule
-itself; the eta recursion tables give the same expansions in closed form
-(``power_astar_expansion``), kept as an independent construction and
-tested equal.
+leftmost reducible word (canonical term order); ``trace_reduction`` records
+the same steps up to the fixed point.  ``normal_form`` computes that fixed
+point by wholesale substitution: every maximal block A^n A* (n >= 3) is
+replaced in one shot by the memoized normal form of A^n A*.
+
+The memo uses the rule alone, one step per n:
+
+    NF(A^n A*) = NF(A · NF(A^(n-1) A*))
+
+Every word of NF(A^(n-1) A*) is A^i A* A^m with i <= 2, so after the extra A
+only the words starting with A^3 A* need the rule, once, at position 0, and
+what it emits is already normal.  The eta recursion tables give the same
+expansions in closed form (``power_astar_expansion``), kept as an
+independent construction and tested equal.
 
 Only the A-side relation is installed.  The A*-side family is reached
 through the dagger automorphism, never by a second rule.
@@ -43,28 +50,17 @@ def measure(w: str) -> tuple[int, int]:
     return (len(w), inv)
 
 
-def _rule_terms():
-    """RHS of the rule as (word, coefficient) pairs, built once."""
-    three = RingElement.from_laurent(qint(3))
-    one = RingElement.one()
-    rho0 = RingElement.rho0()
-    return (
-        ("aasa", three),
-        ("asaa", -three),
-        ("saaa", one),
-        ("as", rho0),
-        ("sa", -rho0),
-    )
+_THREE = RingElement.from_laurent(qint(3))
+_RHO0 = RingElement.rho0()
 
-
-_RULE: tuple = ()
-
-
-def _rule():
-    global _RULE
-    if not _RULE:
-        _RULE = _rule_terms()
-    return _RULE
+# RHS of the rule as (word, coefficient) pairs
+_RULE = (
+    ("aasa", _THREE),
+    ("asaa", -_THREE),
+    ("saaa", RingElement.one()),
+    ("as", _RHO0),
+    ("sa", -_RHO0),
+)
 
 
 def is_normal_word(w: str) -> bool:
@@ -76,15 +72,39 @@ def is_normal(x: NcPoly) -> bool:
 
 
 def _apply_rule_at(w: str, pos: int):
-    """Replace w[pos:pos+4] == 'aaas' by the rule terms; asserts the measure drop."""
+    """Replace w[pos:pos+4] == 'aaas' by the rule terms; checks the measure drop."""
     pre, post = w[:pos], w[pos + 4:]
     out = []
     m = measure(w)
-    for body, coeff in _rule():
+    for body, coeff in _RULE:
         nw = pre + body + post
-        assert measure(nw) < m
+        if not measure(nw) < m:
+            raise AssertionError(f"rule body {body!r} does not lower the measure of {w!r}")
         out.append((nw, coeff))
     return out
+
+
+def _add(terms: dict, w: str, c):
+    """terms[w] += c, dropping the entry when the sum is zero."""
+    s = terms.get(w)
+    s = c if s is None else s + c
+    if s.is_zero():
+        terms.pop(w, None)
+    else:
+        terms[w] = s
+
+
+def _leftmost_redex(x: NcPoly):
+    """(word, position) of the next rewrite step, or None when x is normal."""
+    target = min((w for w in x.terms if _REDEX in w), key=word_key, default=None)
+    return None if target is None else (target, target.find(_REDEX))
+
+
+def _rewrite_at(x: NcPoly, target: str, pos: int) -> NcPoly:
+    coeff = x.terms[target]
+    out = dict(x.terms)
+    del out[target]
+    return NcPoly(out) + NcPoly({nw: coeff * c for nw, c in _apply_rule_at(target, pos)})
 
 
 def reduce_once(x: NcPoly) -> NcPoly:
@@ -92,19 +112,8 @@ def reduce_once(x: NcPoly) -> NcPoly:
 
     Returns the input unchanged when nothing is reducible.
     """
-    target = None
-    for w in x.terms:
-        if _REDEX in w and (target is None or word_key(w) < word_key(target)):
-            target = w
-    if target is None:
-        return x
-    pos = target.find(_REDEX)
-    coeff = x.terms[target]
-    out = dict(x.terms)
-    del out[target]
-    acc = NcPoly(out)
-    repl = NcPoly({nw: coeff * c for nw, c in _apply_rule_at(target, pos)})
-    return acc + repl
+    redex = _leftmost_redex(x)
+    return x if redex is None else _rewrite_at(x, *redex)
 
 
 @dataclass
@@ -123,16 +132,9 @@ def trace_reduction(x: NcPoly) -> ReductionTrace:
     """Run reduce_once to the fixed point, recording every step."""
     trace = ReductionTrace()
     current = x
-    while True:
-        target = None
-        for w in current.terms:
-            if _REDEX in w and (target is None or word_key(w) < word_key(target)):
-                target = w
-        if target is None:
-            break
-        pos = target.find(_REDEX)
-        trace.steps.append((target, pos, len(_rule())))
-        current = reduce_once(current)
+    while (redex := _leftmost_redex(current)) is not None:
+        trace.steps.append((*redex, len(_RULE)))
+        current = _rewrite_at(current, *redex)
         trace.step_count += 1
     trace.final = current
     return trace
@@ -163,39 +165,28 @@ def _leftmost_block(w: str):
 def _pow_nf(n: int) -> dict:
     """Normal form of A^n A* as a raw {word: RingElement} dict, memoized.
 
-    Bootstrapped with the basic rule only, so this memo is the rewrite
+    Built upward from the largest cached n by the one-step recurrence in the
+    module docstring, with the basic rule only, so this memo is the rewrite
     engine's own product, independent of the eta tables.
     """
     cached = _POW_NF.get(n)
     if cached is not None:
         return cached
-    word = GEN_A * n + GEN_ASTAR
     if n < 3:
-        result = {word: RingElement.one()}
-    else:
-        pending = {word: RingElement.one()}
-        result = {}
-        while pending:
-            w, c = pending.popitem()
-            pos = w.find(_REDEX)
-            if pos < 0:
-                s = result.get(w)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    result.pop(w, None)
-                else:
-                    result[w] = s
-                continue
-            for nw, rc in _apply_rule_at(w, pos):
-                p = c * rc
-                s = pending.get(nw)
-                s = p if s is None else s + p
-                if s.is_zero():
-                    pending.pop(nw, None)
-                else:
-                    pending[nw] = s
-    _POW_NF[n] = result
-    return result
+        return {GEN_A * n + GEN_ASTAR: RingElement.one()}
+    top = max(_POW_NF, default=2)
+    prev = _POW_NF.get(top, {GEN_A * 2 + GEN_ASTAR: RingElement.one()})
+    for k in range(top + 1, n + 1):
+        cur: dict = {}
+        for w, c in prev.items():
+            w = GEN_A + w
+            if w.startswith(_REDEX):
+                for nw, rc in _apply_rule_at(w, 0):
+                    _add(cur, nw, c * rc)
+            else:
+                _add(cur, w, c)
+        _POW_NF[k] = prev = cur
+    return prev
 
 
 @dataclass
@@ -349,28 +340,19 @@ def power_astar_expansion(n: int) -> NcPoly:
     if n < 3:
         return NcPoly.from_word(GEN_A * n + GEN_ASTAR)
     terms: dict = {}
-
-    def add(word, coeff):
-        s = terms.get(word)
-        s = coeff if s is None else s + coeff
-        if s.is_zero():
-            terms.pop(word, None)
-        else:
-            terms[word] = s
-
     if n % 2 == 0:  # n = 2m+2
         m = (n - 2) // 2
         for k in range(m + 1):
             for i in range(3):
                 coeff = RingElement.rho0(m - k) * ETA.value(n, k, i)
-                add(GEN_A * (2 - i) + GEN_ASTAR + GEN_A * (2 * k + i), coeff)
+                _add(terms, GEN_A * (2 - i) + GEN_ASTAR + GEN_A * (2 * k + i), coeff)
     else:  # n = 2m+3
         m = (n - 3) // 2
         for k in range(1, m + 2):
             for i in range(3):
                 coeff = RingElement.rho0(m + 1 - k) * ETA.value(n, k, i)
-                add(GEN_A * (2 - i) + GEN_ASTAR + GEN_A * (2 * k - 1 + i), coeff)
+                _add(terms, GEN_A * (2 - i) + GEN_ASTAR + GEN_A * (2 * k - 1 + i), coeff)
         top = RingElement.rho0(m + 1)
-        add(GEN_A + GEN_ASTAR, top)
-        add(GEN_ASTAR + GEN_A, -top)
+        _add(terms, GEN_A + GEN_ASTAR, top)
+        _add(terms, GEN_ASTAR + GEN_A, -top)
     return NcPoly(terms)

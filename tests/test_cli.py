@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 
-from qonsager import ExactDivisionError
+import qonsager
+from qonsager import ExactDivisionError, power_astar_expansion
 from qonsager.cli import (
     EXIT_GATE,
     EXIT_INTEGRITY,
@@ -200,6 +204,27 @@ def test_reduce_trace(capsys):
     lines = out.splitlines()
     assert lines[0] == "A^4 A* -> 5 terms @pos 1"
     assert any("@pos 0" in line for line in lines[1:-1])
+
+
+def test_reduce_long_power_matches_the_eta_route(capsys):
+    code, out, _ = run(capsys, "reduce", "A^30 A*")
+    assert code == EXIT_OK
+    assert out == power_astar_expansion(30).to_string() + "\n"
+
+
+def test_integrity_exit_survives_optimized_mode():
+    # a rule body that does not lower the measure must still exit 3 under -O
+    script = ("import sys\n"
+              "from qonsager import RingElement, rewrite\n"
+              "from qonsager.cli import main\n"
+              "rewrite._RULE += (('aaaas', RingElement.one()),)\n"
+              "sys.exit(main(['reduce', 'A^3 A*']))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qonsager.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_INTEGRITY, proc.stderr
+    assert "integrity" in proc.stderr
 
 
 def test_reduce_syntax_error(capsys):

@@ -8,6 +8,8 @@ from qonsager import (
     NcPoly,
     RHO0,
     RingElement,
+    build_relation_lhs,
+    coeff_table,
     measure,
     normal_form,
     normal_form_with_stats,
@@ -147,7 +149,7 @@ def test_power_expansion_base_cases():
 
 
 def test_power_expansion_equals_rewrite_route():
-    for n in range(4, 13):
+    for n in range(4, 42):
         assert power_astar_expansion(n) == normal_form(A ** n * ASTAR), n
 
 
@@ -171,6 +173,15 @@ def test_eta_outside_grid_raises():
         ETA.value(3, 0, 0)
     with pytest.raises(KeyError):
         ETA.value(2, 0, 0)
+
+
+def test_relation_reduction_stats_are_pinned():
+    # verify prints peak_term_count, so the memo's word order must not move it
+    pinned = {1: (1, 10), 2: (11, 28), 3: (66, 119), 4: (315, 489), 5: (1346, 1929)}
+    for r, expected in pinned.items():
+        nf, stats = normal_form_with_stats(build_relation_lhs(coeff_table(r, "genfun")))
+        assert nf.is_zero(), r
+        assert (stats.replacements, stats.peak_term_count) == expected, r
 
 
 def test_stats_report_peak_and_replacements():
