@@ -5,10 +5,11 @@ polynomial (x - y) * prod_s (x^2 - beta_s x y + y^2 - [s]^2_{q^2} rho0) and
 strip the (-1)^{j+p} rho0^p prefactors.  This is the ground-truth route.
 
 Route 2 (``closedform_table``): the double sum over ordered disjoint index
-families with a floor-halved binomial weight.  The naive weight
-C(r-p, floor((j-k)/2)) overcounts from r=3 on, first at (r,p,j)=(3,0,3);
-the expansion combinatorics give C(r-p-k, floor((j-k)/2)).  Both stay
-available through the ``literal`` flag, corrected is the default.
+families with a floor-halved binomial weight; the family sums are the u^p v^k
+coefficients of prod_s (1 + u [s]^2_{q^2} + v beta_s), not Route 1's product.
+The naive weight C(r-p, floor((j-k)/2)) overcounts from r=3 on, first at
+(r,p,j)=(3,0,3); the expansion combinatorics give C(r-p-k, floor((j-k)/2)).
+Both stay available through the ``literal`` flag, corrected is the default.
 
 Route 3 (``recursion_coeffs``): the inductive r -> r+1 step through the
 M/N/eta recursion tables; every division is exact and asserted.
@@ -21,7 +22,7 @@ identity that explains the specialization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
 from math import comb
 
 from .exactring import LaurentPoly, RingElement
@@ -196,6 +197,21 @@ def reduced_genfun_coeffs(r: int) -> CoeffTable:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _family_sums(r: int) -> dict:
+    """{(p, k): u^p v^k coefficient of prod_{s<=r} (1 + u [s]^2_{q^2} + v beta_s)}, the
+    sums over disjoint families of p squared q^2-integers and k beta factors."""
+    sums = {(0, 0): LaurentPoly.one()}
+    for s in range(1, r + 1):
+        sq, bt = qint(s, base=2) ** 2, beta_s(s)
+        nxt = dict(sums)
+        for (p, k), value in sums.items():
+            for key, factor in (((p + 1, k), sq), ((p, k + 1), bt)):
+                nxt[key] = nxt.get(key, LaurentPoly.zero()) + value * factor
+        sums = nxt
+    return sums
+
+
 def closedform_coeff(r: int, p: int, j: int, literal: bool = False) -> LaurentPoly:
     """The double sum over k and over ordered disjoint families
     {s_1<...<s_p} (squared q^2-integers) and {s_{p+1}<...<s_{p+k}} (beta
@@ -205,28 +221,11 @@ def closedform_coeff(r: int, p: int, j: int, literal: bool = False) -> LaurentPo
         raise ValueError(f"need 0 <= p <= r, got p={p}, r={r}")
     if not (0 <= j <= r - p):
         raise ValueError(f"closed form covers j <= r-p; use symmetry for j={j}")
-    sq = {s: qint(s, base=2) ** 2 for s in range(1, r + 1)}
-    bt = {s: beta_s(s) for s in range(1, r + 1)}
+    sums = _family_sums(r)
     total = LaurentPoly.zero()
     for k in range(j + 1):
-        half = (j - k) // 2
         n_bin = (r - p) if literal else (r - p - k)
-        if n_bin < 0 or half > n_bin:
-            continue
-        weight = comb(n_bin, half)
-        if weight == 0 or p + k > r:
-            continue
-        family_sum = LaurentPoly.zero()
-        for delta_set in combinations(range(1, r + 1), p):
-            rest = [s for s in range(1, r + 1) if s not in delta_set]
-            for beta_set in combinations(rest, k):
-                prod = LaurentPoly.one()
-                for s in delta_set:
-                    prod = prod * sq[s]
-                for s in beta_set:
-                    prod = prod * bt[s]
-                family_sum = family_sum + prod
-        total = total + weight * family_sum
+        total = total + comb(n_bin, (j - k) // 2) * sums[(p, k)]
     return total
 
 

@@ -446,12 +446,6 @@ class RingElement:
         """The component of rho-degree (0, 0), i.e. the value at rho0 = rho1 = 0."""
         return self.terms.get((0, 0), _L_ZERO)
 
-    def rho_degrees(self):
-        return set(self.terms)
-
-    def is_laurent(self) -> bool:
-        return set(self.terms) <= {(0, 0)}
-
     # -- evaluation ----------------------------------------------------------
 
     def eval_at(self, q_val: Fraction, rho0_val: Fraction = Fraction(0),

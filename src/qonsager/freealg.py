@@ -22,6 +22,7 @@ GEN_ASTAR = "s"
 _DAGGER_SWAP = str.maketrans("as", "sa")
 
 _MAX_EXPONENT = 10 ** 6
+_MAX_WORD_LETTERS = 128  # per term, over all factors: NF(A^n A*) costs about n^3 memory
 
 
 def word_key(w: Word):
@@ -309,8 +310,6 @@ def _parse_atom(sc: _Scanner) -> RingElement:
         e = 1
         if sc.take("^"):
             e = sc.read_sint()
-            if abs(e) > _MAX_EXPONENT:
-                raise ParseError("exponent overflow", sc.pos)
         return RingElement.from_laurent(LaurentPoly.q_power(e))
     if ch == "[":
         sc.take("[")
@@ -357,15 +356,18 @@ def _starts_coeff(sc: _Scanner) -> bool:
 
 
 def _parse_factors(sc: _Scanner) -> Word:
-    w = []
+    w = ""
     while sc.peek() == "A":
+        start = sc.pos
         sc.take("A")
         # '*' immediately after 'A' (no whitespace) is the star
         letter = GEN_ASTAR if sc.peek_raw() == "*" else GEN_A
         if letter == GEN_ASTAR:
             sc.pos += 1
-        w.append(letter * _parse_exponent(sc))
-    return "".join(w)
+        w += letter * _parse_exponent(sc)
+        if len(w) > _MAX_WORD_LETTERS:
+            raise ParseError(f"word longer than {_MAX_WORD_LETTERS} letters", start)
+    return w
 
 
 def _parse_term(sc: _Scanner) -> NcPoly:

@@ -1,12 +1,12 @@
 """q-integers, q-binomials, and the tridiagonal parameter sequences.
 
 Conventions: [n]_q = (q^n - q^{-n})/(q - q^{-1}) with [0]_q = 1, q-factorials
-are products of these, and q-binomials are computed by exact division of
-q-factorials (a remainder trips ExactDivisionError immediately, so an
-arithmetic bug cannot propagate silently).
+are products of these, and q-binomials come from the q-Pascal rule, one row
+per n, each row built once per process.  The exact division of q-factorials
+stays available as an independent check (``qfactorial``).
 
-The ``base`` argument replaces q by q^base throughout; the coefficient
-formulas live almost entirely in base 2 (q^2).
+The ``base`` argument of ``qint`` and ``qfactorial`` replaces q by q^base;
+the coefficient formulas live almost entirely in base 2 (q^2).
 """
 
 from __future__ import annotations
@@ -35,13 +35,19 @@ def qfactorial(n: int, base: int = 1) -> LaurentPoly:
     return out
 
 
-def qbinomial(n: int, k: int, base: int = 1) -> LaurentPoly:
-    """Gaussian binomial [n choose k] by exact division of q-factorials."""
+_QPASCAL_ROWS = [[LaurentPoly.one()]]  # [n,k] = q^k [n-1,k] + q^{k-n} [n-1,k-1]
+
+
+def qbinomial(n: int, k: int) -> LaurentPoly:
+    """Gaussian binomial [n choose k] from the q-Pascal rows, each built once per process."""
     if not 0 <= k <= n:
         raise ValueError(f"q-binomial needs 0 <= k <= n, got ({n}, {k})")
-    num = qfactorial(n, base)
-    den = qfactorial(k, base) * qfactorial(n - k, base)
-    return num.divexact(den)
+    while len(_QPASCAL_ROWS) <= n:
+        m, prev = len(_QPASCAL_ROWS), _QPASCAL_ROWS[-1]
+        inner = [LaurentPoly.q_power(i) * prev[i] + LaurentPoly.q_power(i - m) * prev[i - 1]
+                 for i in range(1, m)]
+        _QPASCAL_ROWS.append([LaurentPoly.one(), *inner, LaurentPoly.one()])
+    return _QPASCAL_ROWS[n][k]
 
 
 def beta_s(s: int) -> LaurentPoly:

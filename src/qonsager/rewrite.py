@@ -63,10 +63,6 @@ _RULE = (
 )
 
 
-def is_normal_word(w: str) -> bool:
-    return _REDEX not in w
-
-
 def is_normal(x: NcPoly) -> bool:
     return all(_REDEX not in w for w in x.terms)
 

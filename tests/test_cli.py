@@ -2,6 +2,9 @@ import json
 import os
 import subprocess
 import sys
+import time
+
+import pytest
 
 import qonsager
 from qonsager import ExactDivisionError, power_astar_expansion
@@ -36,15 +39,16 @@ def test_coeffs_json_schema(capsys):
             int(exp), int(coeff)  # decimal strings by schema
 
 
-def test_coeffs_json_route_agreement_bytes(capsys):
-    code, genfun, _ = run(capsys, "coeffs", "--r", "5", "--route", "genfun",
+@pytest.mark.parametrize(("route", "r"), [("recursion", 5), ("closed", 12)])
+def test_coeffs_json_route_agreement_bytes(capsys, route, r):
+    code, genfun, _ = run(capsys, "coeffs", "--r", str(r), "--route", "genfun",
                           "--format", "json")
     assert code == EXIT_OK
-    code, recursion, _ = run(capsys, "coeffs", "--r", "5", "--route", "recursion",
-                             "--format", "json")
+    code, other, _ = run(capsys, "coeffs", "--r", str(r), "--route", route,
+                         "--format", "json")
     assert code == EXIT_OK
-    assert genfun != recursion
-    assert genfun == recursion.replace('"route":"recursion"', '"route":"genfun"')
+    assert genfun != other
+    assert genfun == other.replace(f'"route":"{route}"', '"route":"genfun"')
 
 
 def test_coeffs_deterministic_bytes(capsys):
@@ -210,6 +214,15 @@ def test_reduce_long_power_matches_the_eta_route(capsys):
     code, out, _ = run(capsys, "reduce", "A^30 A*")
     assert code == EXIT_OK
     assert out == power_astar_expansion(30).to_string() + "\n"
+
+
+def test_reduce_rejects_an_overlong_word_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "reduce", "A^200 A*")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "128 letters" in err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_integrity_exit_survives_optimized_mode():

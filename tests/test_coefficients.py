@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -144,6 +146,34 @@ def test_closedform_literal_diverges_exactly_at_r3_j3():
         assert closedform_table(r, literal=True).same_entries(reduced_genfun_coeffs(r))
     literal3 = closedform_table(3, literal=True)
     assert literal3.first_mismatch(reduced_genfun_coeffs(3))[0:2] == (0, 3)
+
+
+def closedform_by_enumeration(r, p, j, literal):
+    """Brute-force oracle: the double sum over k and over every pair of
+    disjoint families, a p-subset of squared q^2-integers and a k-subset of
+    beta factors, with the same binomial weights as the closed route."""
+    total = LaurentPoly.zero()
+    for k in range(j + 1):
+        weight = comb((r - p) if literal else (r - p - k), (j - k) // 2)
+        for delta_set in combinations(range(1, r + 1), p):
+            rest = [s for s in range(1, r + 1) if s not in delta_set]
+            for beta_set in combinations(rest, k):
+                prod = LaurentPoly.one()
+                for s in delta_set:
+                    prod = prod * I2(s) ** 2
+                for s in beta_set:
+                    prod = prod * B(s)
+                total = total + weight * prod
+    return total
+
+
+@pytest.mark.parametrize("literal", (False, True))
+def test_closedform_matches_the_subset_enumeration(literal):
+    for r in range(1, 7):
+        for p in range(r + 1):
+            for j in range(r - p + 1):
+                assert closedform_coeff(r, p, j, literal) == closedform_by_enumeration(
+                    r, p, j, literal), (r, p, j, literal)
 
 
 def test_closedform_range_errors():

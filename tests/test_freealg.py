@@ -112,6 +112,21 @@ def test_parse_errors_carry_position():
         parse_expression("A^9999999")  # exponent overflow
 
 
+def test_parse_caps_the_letters_of_a_word():
+    # the cap counts every factor of a term, not each exponent on its own
+    assert len(next(iter(parse_expression("A^127 A*").terms))) == 128
+    assert parse_expression("A^100 A^28") == A ** 128
+    for text in ("A^100 A^29", "A^129", "A^100 A^100 A*", "q A A*^128"):
+        with pytest.raises(ParseError):
+            parse_expression(text)
+    # each term has its own budget
+    assert parse_expression("A^128 + A*^128").term_count() == 2
+    # q and rho exponents keep the 10^6 limit
+    parse_expression("q^-1000000*rho0^1000 A")
+    with pytest.raises(ParseError):
+        parse_expression("q^-1000001 A")
+
+
 def test_print_parse_round_trip():
     rng = random.Random(23)
     for _ in range(100):

@@ -18,14 +18,6 @@ from qonsager import (
 Q = LaurentPoly.q_power
 
 
-def qbinomial_by_pascal(n, k):
-    """Independent oracle: the q-Pascal recurrence for symmetric Gaussian
-    binomials, [n,k] = q^k [n-1,k] + q^{k-n} [n-1,k-1]."""
-    if k in (0, n):
-        return LaurentPoly.one()
-    return Q(k) * qbinomial_by_pascal(n - 1, k) + Q(k - n) * qbinomial_by_pascal(n - 1, k - 1)
-
-
 def test_qint_values():
     assert qint(0) == LaurentPoly.one()
     assert qint(1) == LaurentPoly.one()
@@ -54,10 +46,14 @@ def test_qbinomial_examples():
         {12 - 2 * i: c for i, c in enumerate(seq)})
 
 
-def test_qbinomial_matches_pascal_oracle():
-    for n in range(13):
+def test_qbinomial_matches_qfactorial_oracle():
+    # independent of the q-Pascal rows: exact division of q-factorials, where a
+    # remainder raises ExactDivisionError
+    fact = [qfactorial(n) for n in range(30)]
+    for n in range(30):
         for k in range(n + 1):
-            assert qbinomial(n, k) == qbinomial_by_pascal(n, k), (n, k)
+            oracle = fact[n].divexact(fact[k] * fact[n - k])
+            assert qbinomial(n, k) == oracle, (n, k)
 
 
 def test_qbinomial_symmetries():
