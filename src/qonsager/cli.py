@@ -20,7 +20,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .exactring import ExactDivisionError, LaurentPoly
+from .exactring import ExactDivisionError, LaurentPoly, signed_join
 from .freealg import ParseError, parse_expression
 from .qnumbers import qbinomial
 from .coefficients import ROUTES, CoeffTable, coeff_table
@@ -36,6 +36,11 @@ EXIT_GATE = 4
 
 TEST_HOOKS_ENV = "QONSAGER_TEST_HOOKS"
 
+# The largest r that coeffs --r, verify --r-max and matrix-check --r accept.
+# The q-Pascal rows then stop at n = 2r + 3 = 43.  On a 2-vCPU AMD EPYC host
+# coeffs --r 30 --format latex took 37 s and 369 MiB, --r 40 202 s and 1.28 GiB.
+MAX_R = 20
+
 
 class UsageError(ValueError):
     pass
@@ -46,6 +51,16 @@ def _fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from exc
+
+
+def _r_value(text: str) -> int:
+    try:
+        r = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if r > MAX_R:
+        raise argparse.ArgumentTypeError(f"r above {MAX_R} is not supported")
+    return r
 
 
 def _fraction_list(text: str):
@@ -82,9 +97,7 @@ def table_to_csv(table: CoeffTable) -> str:
 
 
 def _laurent_to_latex(value: LaurentPoly) -> str:
-    if value.is_zero():
-        return "0"
-    parts = []
+    pieces = []
     for e in sorted(value.terms, reverse=True):
         c = value.terms[e]
         mag = abs(c)
@@ -93,11 +106,8 @@ def _laurent_to_latex(value: LaurentPoly) -> str:
         else:
             qp = "q" if e == 1 else f"q^{{{e}}}"
             body = qp if mag == 1 else f"{mag}{qp}"
-        if not parts:
-            parts.append(body if c > 0 else "-" + body)
-        else:
-            parts.append(("+" if c > 0 else "-") + body)
-    return "".join(parts)
+        pieces.append((c < 0, body))
+    return signed_join(pieces)
 
 
 def _qbinom_index(r: int) -> dict:
@@ -260,14 +270,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_coeffs = sub.add_parser("coeffs", help="emit a coefficient table")
-    p_coeffs.add_argument("--r", type=int, required=True)
+    p_coeffs.add_argument("--r", type=_r_value, required=True)
     p_coeffs.add_argument("--route", choices=ROUTES, default="genfun")
     p_coeffs.add_argument("--format", choices=("json", "csv", "latex"), default="json")
     p_coeffs.add_argument("--out", default=None, metavar="PATH")
     p_coeffs.set_defaults(func=cmd_coeffs)
 
     p_verify = sub.add_parser("verify", help="reduce the relations to normal form")
-    p_verify.add_argument("--r-max", type=int, required=True, dest="r_max")
+    p_verify.add_argument("--r-max", type=_r_value, required=True, dest="r_max")
     p_verify.add_argument("--route", choices=ROUTES, default="genfun")
     p_verify.add_argument("--family", choices=("1", "2", "both"), default="1")
     p_verify.add_argument("--out", default=None, metavar="PATH")
@@ -280,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_matrix.add_argument("--t", type=_fraction, default=Fraction(3, 2))
     p_matrix.add_argument("--v", type=_fraction_list, default=None,
                           help="comma-separated spectral parameters, one per site")
-    p_matrix.add_argument("--r", type=int, default=2)
+    p_matrix.add_argument("--r", type=_r_value, default=2)
     p_matrix.add_argument("--route", choices=ROUTES, default="genfun")
     for name, default in (("c0", "1"), ("c1", "1"), ("cbar0", "1"),
                           ("cbar1", "1"), ("eps0", "0"), ("eps1", "0")):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .exactring import LaurentPoly, RingElement
+from .exactring import LaurentPoly, RingElement, SparseSum, pair_add
 from .qnumbers import beta_s, qbinomial, qint, reduced_tridiagonal_params
 from .rewrite import ETA
 
@@ -109,25 +109,12 @@ def lusztig_coeffs(r: int) -> CoeffTable:
 # ---------------------------------------------------------------------------
 
 
-def _is_zero_scalar(v) -> bool:
-    if isinstance(v, RingElement):
-        return v.is_zero()
-    return v == 0
+class _XYPoly(SparseSum):
+    """Polynomial in commuting x, y, {(i, j): scalar}; scalars are RingElements
+    or Fractions."""
 
-
-def _poly2_mul(f: dict, g: dict) -> dict:
-    out = {}
-    for (i1, j1), a in f.items():
-        for (i2, j2), b in g.items():
-            key = (i1 + i2, j1 + j2)
-            prod = a * b
-            if key in out:
-                prod = out[key] + prod
-            if _is_zero_scalar(prod):
-                out.pop(key, None)
-            else:
-                out[key] = prod
-    return out
+    __slots__ = ()
+    _key_mul = staticmethod(pair_add)
 
 
 def genfun_polynomial(r: int, params) -> dict:
@@ -137,17 +124,17 @@ def genfun_polynomial(r: int, params) -> dict:
     params = list(params)
     if len(params) != r:
         raise ValueError(f"need exactly r={r} parameter steps, got {len(params)}")
-    poly = {(1, 0): 1, (0, 1): -1}
+    poly = _XYPoly({(1, 0): 1, (0, 1): -1})
     for step in params:
         factor = {(2, 0): 1, (0, 2): 1}
         factor[(1, 1)] = -step.beta
-        if not _is_zero_scalar(step.gamma):
+        if step.gamma:
             factor[(1, 0)] = -step.gamma
             factor[(0, 1)] = -step.gamma
-        if not _is_zero_scalar(step.delta):
+        if step.delta:
             factor[(0, 0)] = -step.delta
-        poly = _poly2_mul(poly, factor)
-    return poly
+        poly = poly * _XYPoly(factor)
+    return poly.terms
 
 
 @dataclass

@@ -1,20 +1,29 @@
 """Exact scalar arithmetic for the relation machinery.
 
-Two layers: ``LaurentPoly`` is a Laurent polynomial in the deformation
-parameter q with arbitrary-precision integer coefficients, stored sparsely
-as {exponent: coefficient}.  ``RingElement`` extends it by the two commuting
-formal parameters rho0, rho1 (the structure constants of the defining
-relations), stored as {(rho0 power, rho1 power): LaurentPoly}.
+One core under three rings.  ``SparseSum`` is a finite sum {key: coefficient}
+that never stores a zero coefficient.  It owns construction, equality and
+hashing, the additive group, the product (keys multiply, coefficients
+multiply, equal keys collect), powers and the text form.  A ring built on it
+declares only its unit key, how two of its keys multiply, and which scalars
+it accepts; a scalar is placed at the unit key through the coefficient ring's
+own coercion, so mixed products and comparisons need no special cases.
 
-Everything is immutable after construction and kept in canonical sparse
-form (no zero coefficients are ever stored), so equality is exact
-coefficient-wise comparison and values can be shared freely.
+``LaurentPoly`` is a Laurent polynomial in the deformation parameter q,
+{exponent: int}.  ``RingElement`` adds the two commuting formal parameters
+rho0, rho1 (the structure constants of the defining relations),
+{(rho0 power, rho1 power): LaurentPoly}.  ``freealg.NcPoly`` is the third
+ring on the same core: words in A, A* over RingElement.
+
+Everything is immutable after construction and kept in canonical sparse form,
+so equality is exact coefficient-wise comparison and values can be shared
+freely.
 
 Rational numbers for matrix evaluation are ``fractions.Fraction``.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 Rational = Fraction
@@ -24,36 +33,67 @@ class ExactDivisionError(ArithmeticError):
     """A division that the caller asserted to be exact left a remainder."""
 
 
-def _trim(terms):
-    return {e: c for e, c in terms.items() if c != 0}
+def pair_add(a: tuple, b: tuple) -> tuple:
+    """The product of two monomials in two commuting variables, as exponent pairs."""
+    return (a[0] + b[0], a[1] + b[1])
 
 
-class LaurentPoly:
-    """Sparse Laurent polynomial in q over the integers."""
+def signed_join(pieces, sep: str = "") -> str:
+    """The text of a sum from its (negative, body) pieces in print order:
+    'a-b+c', or 'a - b + c' with sep=' '; '0' for no pieces."""
+    out = []
+    for negative, body in pieces:
+        if out:
+            out.append(f"{sep}{'-' if negative else '+'}{sep}")
+        elif negative:
+            out.append("-")
+        out.append(body)
+    return "".join(out) or "0"
 
-    __slots__ = ("terms", "_hash")
+
+class SparseSum:
+    """A finite sum {key: coefficient} in canonical form: no zero coefficient
+    is stored.
+
+    A subclass declares ``_unit`` (the key of the unit), ``_key_mul`` (the
+    product of two keys), ``_scalars`` (the types it accepts as scalars) and
+    ``_lift`` (a scalar as a coefficient), and prints through ``to_string``.
+    """
+
+    __slots__ = ("terms",)
+    _scalars = ()
 
     def __init__(self, terms=None):
-        self.terms = _trim(terms) if terms else {}
-        self._hash = None
+        self.terms = {k: c for k, c in terms.items() if c} if terms else {}
+
+    @classmethod
+    def _wrap(cls, terms: dict):
+        """An element over a dict that is already canonical.  Sums and
+        products build theirs inline, where one more call per result is a
+        measurable share of a reduction's time."""
+        res = cls.__new__(cls)
+        res.terms = terms
+        return res
+
+    @classmethod
+    def _coerce(cls, x):
+        """x itself, a scalar placed at the unit key, or None for a foreign value."""
+        if isinstance(x, cls):
+            return x
+        if isinstance(x, cls._scalars):
+            c = cls._lift(x)
+            return cls._wrap({cls._unit: c} if c else {})
+        return None
 
     # -- constructors -------------------------------------------------
 
-    @staticmethod
-    def zero() -> "LaurentPoly":
-        return LaurentPoly()
+    @classmethod
+    def zero(cls):
+        return cls._wrap({})
 
-    @staticmethod
-    def one() -> "LaurentPoly":
-        return LaurentPoly({0: 1})
-
-    @staticmethod
-    def from_int(n: int) -> "LaurentPoly":
-        return LaurentPoly({0: n})
-
-    @staticmethod
-    def q_power(e: int, coeff: int = 1) -> "LaurentPoly":
-        return LaurentPoly({e: coeff})
+    @classmethod
+    def one(cls):
+        return cls._coerce(1)
 
     # -- ring structure ------------------------------------------------
 
@@ -64,43 +104,35 @@ class LaurentPoly:
         return not self.terms
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly.from_int(other)
-        if not isinstance(other, LaurentPoly):
+        if not isinstance(other, self.__class__) and (other := self._coerce(other)) is None:
             return NotImplemented
         return self.terms == other.terms
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
-        return self._hash
+        return hash(frozenset(self.terms.items()))
 
     def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self.terms.items()})
+        return self._wrap({k: -c for k, c in self.terms.items()})
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly.from_int(other)
-        if not isinstance(other, LaurentPoly):
+        if not isinstance(other, self.__class__) and (other := self._coerce(other)) is None:
             return NotImplemented
         out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
+        for k, c in other.terms.items():
+            s = out.get(k)
+            s = c if s is None else s + c
             if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-        res = LaurentPoly.__new__(LaurentPoly)
+                out[k] = s
+            else:
+                del out[k]
+        res = self.__class__.__new__(self.__class__)
         res.terms = out
-        res._hash = None
         return res
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly.from_int(other)
-        if not isinstance(other, LaurentPoly):
+        if not isinstance(other, self.__class__) and (other := self._coerce(other)) is None:
             return NotImplemented
         return self + (-other)
 
@@ -108,11 +140,75 @@ class LaurentPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            if other == 0:
-                return LaurentPoly()
-            return LaurentPoly({e: c * other for e, c in self.terms.items()})
-        if not isinstance(other, LaurentPoly):
+        # keys multiply, coefficients multiply, equal keys collect
+        if not isinstance(other, self.__class__) and (other := self._coerce(other)) is None:
+            return NotImplemented
+        key_mul = self._key_mul
+        out = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                k = key_mul(k1, k2)
+                p = c1 * c2
+                s = out.get(k)
+                s = p if s is None else s + p
+                if s:
+                    out[k] = s
+                elif k in out:
+                    del out[k]
+        res = self.__class__.__new__(self.__class__)
+        res.terms = out
+        return res
+
+    def __rmul__(self, other):
+        # scalars commute with everything, so a scalar on the left is the
+        # same product with the scalar at the unit key
+        other = self._coerce(other)
+        return NotImplemented if other is None else other * self
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError(f"negative power of a {type(self).__name__}")
+        result, base = self.one(), self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
+        return result
+
+    # -- text form -----------------------------------------------------
+
+    def __str__(self):
+        return self.to_string()
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.to_string()!r})"
+
+
+class LaurentPoly(SparseSum):
+    """Sparse Laurent polynomial in q over the integers."""
+
+    __slots__ = ()
+    _unit = 0
+    _key_mul = operator.add
+    _scalars = (int,)
+    _lift = int
+
+    # -- constructors -------------------------------------------------
+
+    @staticmethod
+    def from_int(n: int) -> "LaurentPoly":
+        return LaurentPoly({0: n})
+
+    @staticmethod
+    def q_power(e: int, coeff: int = 1) -> "LaurentPoly":
+        return LaurentPoly({e: coeff})
+
+    def __mul__(self, other):
+        # the hot path of the whole package: the generic product, inlined
+        # for int keys and int coefficients
+        if not isinstance(other, LaurentPoly) and (other := self._coerce(other)) is None:
             return NotImplemented
         out = {}
         for e1, c1 in self.terms.items():
@@ -123,24 +219,9 @@ class LaurentPoly:
                     out[e] = s
                 elif e in out:
                     del out[e]
-        res = LaurentPoly.__new__(LaurentPoly)
+        res = self.__class__.__new__(self.__class__)
         res.terms = out
-        res._hash = None
         return res
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a Laurent polynomial")
-        result = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     # -- structure queries ----------------------------------------------
 
@@ -215,9 +296,7 @@ class LaurentPoly:
         This string is the bit-exact export format used by the CSV and LaTeX
         emitters and the test fixtures.
         """
-        if not self.terms:
-            return "0"
-        parts = []
+        pieces = []
         for e in sorted(self.terms, reverse=True):
             c = self.terms[e]
             mag = abs(c)
@@ -226,17 +305,8 @@ class LaurentPoly:
             else:
                 qp = "q" if e == 1 else f"q^{e}"
                 body = qp if mag == 1 else f"{mag}*{qp}"
-            if not parts:
-                parts.append(body if c > 0 else "-" + body)
-            else:
-                parts.append(("+" if c > 0 else "-") + body)
-        return "".join(parts)
-
-    def __str__(self):
-        return self.to_string()
-
-    def __repr__(self):
-        return f"LaurentPoly({self.to_string()!r})"
+            pieces.append((c < 0, body))
+        return signed_join(pieces)
 
 
 def parse_laurent(text: str) -> LaurentPoly:
@@ -303,28 +373,20 @@ _L_ZERO = LaurentPoly.zero()
 _L_ONE = LaurentPoly.one()
 
 
-class RingElement:
+class RingElement(SparseSum):
     """Polynomial in rho0, rho1 with LaurentPoly coefficients.
 
     rho1 is carried even though family-one computations never produce it:
     the dagger substitution rho0 <-> rho1 is then a total map.
     """
 
-    __slots__ = ("terms", "_hash")
-
-    def __init__(self, terms=None):
-        self.terms = {k: v for k, v in terms.items() if not v.is_zero()} if terms else {}
-        self._hash = None
+    __slots__ = ()
+    _unit = (0, 0)
+    _key_mul = staticmethod(pair_add)
+    _scalars = (LaurentPoly, int)
+    _lift = LaurentPoly._coerce
 
     # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def zero() -> "RingElement":
-        return RingElement()
-
-    @staticmethod
-    def one() -> "RingElement":
-        return RingElement({(0, 0): _L_ONE})
 
     @staticmethod
     def from_laurent(p: LaurentPoly) -> "RingElement":
@@ -341,100 +403,6 @@ class RingElement:
     @staticmethod
     def rho1(power: int = 1) -> "RingElement":
         return RingElement({(0, power): _L_ONE})
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, RingElement):
-            return other
-        if isinstance(other, LaurentPoly):
-            return RingElement.from_laurent(other)
-        if isinstance(other, int):
-            return RingElement.from_int(other)
-        return None
-
-    # -- ring structure ------------------------------------------------
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        other = RingElement._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
-        return self._hash
-
-    def __neg__(self):
-        return RingElement({k: -v for k, v in self.terms.items()})
-
-    def __add__(self, other):
-        other = RingElement._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            s = out.get(k)
-            s = v if s is None else s + v
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        res = RingElement.__new__(RingElement)
-        res.terms = out
-        res._hash = None
-        return res
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = RingElement._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = RingElement._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = {}
-        for (a0, a1), u in self.terms.items():
-            for (b0, b1), v in other.terms.items():
-                k = (a0 + b0, a1 + b1)
-                p = u * v
-                s = out.get(k)
-                s = p if s is None else s + p
-                if s.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        res = RingElement.__new__(RingElement)
-        res.terms = out
-        res._hash = None
-        return res
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a ring element")
-        result = RingElement.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     # -- rho structure -----------------------------------------------------
 
@@ -464,7 +432,7 @@ class RingElement:
     # -- text form --------------------------------------------------------------
 
     def _piece(self, key):
-        """(sign, body) for one rho-monomial; parenthesizes composite Laurent parts."""
+        """(negative, body) for one rho-monomial; parenthesizes composite Laurent parts."""
         e0, e1 = key
         p = self.terms[key]
         rho = []
@@ -474,7 +442,6 @@ class RingElement:
             rho.append("rho1" if e1 == 1 else f"rho1^{e1}")
         if len(p.terms) == 1:
             ((e, c),) = p.terms.items()
-            sign = 1 if c > 0 else -1
             mag = abs(c)
             factors = []
             if mag != 1 or (e == 0 and not rho):
@@ -482,29 +449,14 @@ class RingElement:
             if e:
                 factors.append("q" if e == 1 else f"q^{e}")
             factors.extend(rho)
-            return sign, "*".join(factors)
+            return c < 0, "*".join(factors)
         body = f"({p.to_string()})"
         if rho:
             body += "*" + "*".join(rho)
-        return 1, body
+        return False, body
 
     def to_string(self) -> str:
-        if not self.terms:
-            return "0"
-        out = []
-        for key in sorted(self.terms, reverse=True):
-            sign, body = self._piece(key)
-            if not out:
-                out.append(body if sign > 0 else "-" + body)
-            else:
-                out.append((" + " if sign > 0 else " - ") + body)
-        return "".join(out)
-
-    def __str__(self):
-        return self.to_string()
-
-    def __repr__(self):
-        return f"RingElement({self.to_string()!r})"
+        return signed_join(map(self._piece, sorted(self.terms, reverse=True)), " ")
 
 
 RHO0 = RingElement.rho0()

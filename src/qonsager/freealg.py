@@ -2,8 +2,9 @@
 
 Words are plain strings over the internal alphabet 'a' (for A) and 's'
 (for A*); the empty string is the unit monomial and concatenation is the
-monomial product, so associativity is free.  An ``NcPoly`` is a sparse
-dict {word: RingElement} in canonical form (no zero coefficients).
+monomial product, so associativity is free.  An ``NcPoly`` is the finite sum
+{word: RingElement} of the ``exactring`` core, in canonical form (no zero
+coefficients).
 
 Canonical term order for printing and for "leftmost word" in the rewriting
 engine: graded lexicographic with A < A* ('a' < 's' in ASCII, so the plain
@@ -12,7 +13,9 @@ engine: graded lexicographic with A < A* ('a' < 's' in ASCII, so the plain
 
 from __future__ import annotations
 
-from .exactring import LaurentPoly, RingElement
+import operator
+
+from .exactring import LaurentPoly, RingElement, SparseSum, signed_join
 
 Word = str
 
@@ -23,109 +26,30 @@ _DAGGER_SWAP = str.maketrans("as", "sa")
 
 _MAX_EXPONENT = 10 ** 6
 _MAX_WORD_LETTERS = 128  # per term, over all factors: NF(A^n A*) costs about n^3 memory
+# A scalar product or power in the input may have at most this many terms, as
+# bounded by the box of its q, rho0 and rho1 exponents (each span + 1,
+# multiplied); spans add under products, and (1+q)^4000 alone took 14 s on a
+# 2-vCPU AMD EPYC host.
+_MAX_SCALAR_TERMS = 1000
 
 
 def word_key(w: Word):
     return (len(w), w)
 
 
-class NcPoly:
+class NcPoly(SparseSum):
     """Finite RingElement-linear combination of words in A, A*."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {w: c for w, c in terms.items() if not c.is_zero()} if terms else {}
-
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def zero() -> "NcPoly":
-        return NcPoly()
-
-    @staticmethod
-    def one() -> "NcPoly":
-        return NcPoly({"": RingElement.one()})
+    __slots__ = ()
+    _unit = ""
+    _key_mul = operator.add
+    _scalars = (RingElement, LaurentPoly, int)
+    _lift = RingElement._coerce
 
     @staticmethod
     def from_word(w: Word, coeff=None) -> "NcPoly":
-        c = RingElement.one() if coeff is None else _scalar(coeff)
-        return NcPoly({w: c})
-
-    # -- scalar and ring structure --------------------------------------
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, NcPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __neg__(self):
-        return NcPoly({w: -c for w, c in self.terms.items()})
-
-    def __add__(self, other):
-        if not isinstance(other, NcPoly):
-            return NotImplemented
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
-        res = NcPoly.__new__(NcPoly)
-        res.terms = out
-        return res
-
-    def __sub__(self, other):
-        if not isinstance(other, NcPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (RingElement, LaurentPoly, int)):
-            return self.scale(_scalar(other))
-        if not isinstance(other, NcPoly):
-            return NotImplemented
-        out = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                p = c1 * c2
-                s = out.get(w)
-                s = p if s is None else s + p
-                if s.is_zero():
-                    out.pop(w, None)
-                else:
-                    out[w] = s
-        res = NcPoly.__new__(NcPoly)
-        res.terms = out
-        return res
-
-    def __rmul__(self, other):
-        # scalars commute with everything, so left and right scaling agree
-        if isinstance(other, (RingElement, LaurentPoly, int)):
-            return self.scale(_scalar(other))
-        return NotImplemented
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power in the free algebra")
-        result = NcPoly.one()
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def scale(self, c: RingElement) -> "NcPoly":
-        if c.is_zero():
-            return NcPoly()
-        return NcPoly({w: v * c for w, v in self.terms.items()})
+        term = NcPoly({w: RingElement.one()})
+        return term if coeff is None else term * coeff
 
     # -- structure -------------------------------------------------------
 
@@ -136,49 +60,18 @@ class NcPoly:
     def term_count(self) -> int:
         return len(self.terms)
 
-    def map_coefficients(self, f) -> "NcPoly":
-        return NcPoly({w: out for w, c in self.terms.items()
-                       if not (out := f(c)).is_zero()})
-
     def specialize_rho_zero(self) -> "NcPoly":
         """Set rho0 = rho1 = 0 in every coefficient."""
-        return self.map_coefficients(
-            lambda c: RingElement.from_laurent(c.specialize_rho_zero()))
+        return NcPoly({w: RingElement.from_laurent(c.specialize_rho_zero())
+                       for w, c in self.terms.items()})
 
     def dagger(self) -> "NcPoly":
         """The algebra automorphism A <-> A*, rho0 <-> rho1 (an involution)."""
         return NcPoly({w.translate(_DAGGER_SWAP): c.dagger()
                        for w, c in self.terms.items()})
 
-    # -- text form -----------------------------------------------------------
-
     def to_string(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for w, c in self.sorted_terms():
-            sign, body = _term_string(w, c)
-            if not pieces:
-                pieces.append(body if sign > 0 else "-" + body)
-            else:
-                pieces.append((" + " if sign > 0 else " - ") + body)
-        return "".join(pieces)
-
-    def __str__(self):
-        return self.to_string()
-
-    def __repr__(self):
-        return f"NcPoly({self.to_string()!r})"
-
-
-def _scalar(c) -> RingElement:
-    if isinstance(c, RingElement):
-        return c
-    if isinstance(c, LaurentPoly):
-        return RingElement.from_laurent(c)
-    if isinstance(c, int):
-        return RingElement.from_int(c)
-    raise TypeError(f"cannot use {type(c).__name__} as a scalar")
+        return signed_join((_term_string(w, c) for w, c in self.sorted_terms()), " ")
 
 
 A = NcPoly.from_word(GEN_A)
@@ -204,14 +97,14 @@ def word_string(w: Word) -> str:
 
 def _term_string(w: Word, c: RingElement):
     ws = word_string(w)
-    if c == RingElement.one():
-        return 1, ws
-    if c == -RingElement.one():
-        return -1, ws
+    if c == 1:
+        return False, ws
+    if c == -1:
+        return True, ws
     if len(c.terms) == 1:
-        sign, body = c._piece(next(iter(c.terms)))
-        return sign, f"{body} {ws}" if w else body
-    return 1, f"({c.to_string()}) {ws}" if w else f"({c.to_string()})"
+        negative, body = c._piece(next(iter(c.terms)))
+        return negative, f"{body} {ws}" if w else body
+    return False, f"({c.to_string()}) {ws}" if w else f"({c.to_string()})"
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +162,8 @@ class _Scanner:
         if not self.take(s):
             raise ParseError(f"expected {s!r}", self.pos)
 
-    def read_uint(self) -> int:
+    def read_uint(self, limit=_MAX_EXPONENT) -> int:
+        """An unsigned integer of at most ``limit``; coefficients pass None."""
         self.skip_ws()
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
@@ -277,7 +171,7 @@ class _Scanner:
         if self.pos == start:
             raise ParseError("expected an integer", start)
         n = int(self.text[start:self.pos])
-        if n > _MAX_EXPONENT:
+        if limit is not None and n > limit:
             raise ParseError("exponent overflow", start)
         return n
 
@@ -293,12 +187,36 @@ def _parse_exponent(sc: _Scanner, default: int = 1) -> int:
     return default
 
 
+def _spans(x: RingElement):
+    """(q, rho0, rho1) exponent spans of a scalar: largest minus smallest exponent."""
+    if not x:
+        return (0, 0, 0)
+    qs = [e for p in x.terms.values() for e in p.terms]
+    e0s, e1s = zip(*x.terms)
+    return tuple(max(v) - min(v) for v in (qs, e0s, e1s))
+
+
+def _check_size(spans, pos: int):
+    """Reject a scalar whose exponent spans leave room for more than
+    _MAX_SCALAR_TERMS terms, before it is computed."""
+    q, e0, e1 = spans
+    if (q + 1) * (e0 + 1) * (e1 + 1) > _MAX_SCALAR_TERMS:
+        raise ParseError(f"scalar with room for more than {_MAX_SCALAR_TERMS} terms", pos)
+
+
+def _parse_power(sc: _Scanner, value: RingElement) -> RingElement:
+    pos = sc.pos
+    n = _parse_exponent(sc)
+    _check_size([n * s for s in _spans(value)], pos)
+    return value ** n
+
+
 def _parse_atom(sc: _Scanner) -> RingElement:
     from .qnumbers import qint  # deferred: qnumbers imports exactring only
 
     ch = sc.peek()
     if ch.isdigit():
-        return RingElement.from_int(sc.read_uint())
+        return RingElement.from_int(sc.read_uint(limit=None))
     if sc.startswith("rho0"):
         sc.take("rho0")
         return RingElement.rho0(_parse_exponent(sc))
@@ -315,12 +233,14 @@ def _parse_atom(sc: _Scanner) -> RingElement:
         sc.take("[")
         n = sc.read_uint()
         sc.expect("]_q")
-        return RingElement.from_laurent(qint(n)) ** _parse_exponent(sc)
+        # [n]_q is dense, so its spans count its terms even at power 1
+        return _parse_power(sc, RingElement.from_laurent(qint(n)))
     if ch == "(":
         sc.take("(")
         value = _parse_scalar_sum(sc)
         sc.expect(")")
-        return value ** _parse_exponent(sc)
+        # a sum has no more terms than its input, so only its powers are checked
+        return _parse_power(sc, value) if sc.startswith("^") else value
     raise ParseError("expected a scalar atom", sc.pos)
 
 
@@ -332,13 +252,14 @@ def _parse_scalar_product(sc: _Scanner) -> RingElement:
         if not _starts_coeff(sc):
             sc.pos = mark  # the '*' was the optional coeff/word separator
             break
-        value = value * _parse_atom(sc)
+        factor = _parse_atom(sc)
+        _check_size([a + b for a, b in zip(_spans(value), _spans(factor))], mark)
+        value = value * factor
     return value
 
 
 def _parse_scalar_sum(sc: _Scanner) -> RingElement:
-    sign = -1 if sc.take("-") else 1
-    value = sign * _parse_scalar_product(sc)
+    value = -_parse_scalar_product(sc) if sc.take("-") else _parse_scalar_product(sc)
     while True:
         if sc.take("+"):
             value = value + _parse_scalar_product(sc)
@@ -386,8 +307,7 @@ def _parse_term(sc: _Scanner) -> NcPoly:
 def parse_expression(text: str) -> NcPoly:
     """Parse an expression in the grammar above into an NcPoly."""
     sc = _Scanner(text)
-    sign = -1 if sc.take("-") else 1
-    result = _parse_term(sc) * sign
+    result = -_parse_term(sc) if sc.take("-") else _parse_term(sc)
     while True:
         if sc.take("+"):
             result = result + _parse_term(sc)

@@ -7,13 +7,14 @@ import time
 import pytest
 
 import qonsager
-from qonsager import ExactDivisionError, power_astar_expansion
+from qonsager import ExactDivisionError, normal_form, parse_expression, power_astar_expansion
 from qonsager.cli import (
     EXIT_GATE,
     EXIT_INTEGRITY,
     EXIT_OK,
     EXIT_RELATION,
     EXIT_USAGE,
+    build_parser,
     main,
 )
 
@@ -223,6 +224,35 @@ def test_reduce_rejects_an_overlong_word_at_once(capsys):
     assert out == ""
     assert "128 letters" in err
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("argv, seconds", [
+    (("reduce", "--trace", "A^40 A*"), 5.0),
+    (("reduce", "(1+q)^16000 A"), 1.0),
+    (("reduce", "[100000]_q^3 A"), 1.0),
+    (("coeffs", "--r", "1000000"), 1.0),
+    (("verify", "--r-max", "1000000"), 1.0),
+])
+def test_oversized_input_exits_2_at_once(capsys, argv, seconds):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert time.perf_counter() - start < seconds
+
+
+def test_r_cap_admits_twenty(capsys):
+    assert build_parser().parse_args(["coeffs", "--r", "20"]).r == 20
+    code, out, err = run(capsys, "matrix-check", "--r", "21")
+    assert code == EXIT_USAGE
+    assert out == "" and "above 20" in err
+
+
+def test_reduce_reads_coefficients_without_the_exponent_cap(capsys):
+    code, out, _ = run(capsys, "reduce", "2000000 A^3 A*")
+    assert code == EXIT_OK
+    expected = normal_form(parse_expression("A^3 A*")) * 2000000
+    assert out == expected.to_string() + "\n"
 
 
 def test_integrity_exit_survives_optimized_mode():

@@ -4,10 +4,13 @@ from fractions import Fraction
 import pytest
 
 from qonsager import (
+    A,
     ExactDivisionError,
     LaurentPoly,
+    NcPoly,
     RHO0,
     RingElement,
+    parse_expression,
     parse_laurent,
     qint,
 )
@@ -169,3 +172,25 @@ def test_hash_consistent_with_equality():
     x = RingElement({(1, 0): qint(2)})
     y = RHO0 * RingElement.from_laurent(qint(2))
     assert x == y and hash(x) == hash(y)
+    u = parse_expression("rho0 A + A*")
+    v = NcPoly({"s": RingElement.one(), "a": RHO0})
+    assert u == v and hash(u) == hash(v)
+
+
+_THREE = LaurentPoly({0: 3})
+
+
+@pytest.mark.parametrize("value, expected", [
+    pytest.param(1 - qint(2), LaurentPoly({0: 1, 1: -1, -1: -1}), id="int-minus-laurent"),
+    pytest.param(qint(3) == 3, False, id="laurent-eq-int"),
+    pytest.param(RHO0 * qint(3), RingElement({(1, 0): qint(3)}), id="ring-times-laurent"),
+    pytest.param(3 * A, NcPoly({"a": RingElement({(0, 0): _THREE})}), id="int-times-word"),
+    pytest.param(A * 3, NcPoly({"a": RingElement({(0, 0): _THREE})}), id="word-times-int"),
+    pytest.param(A * RHO0 == RHO0 * A, True, id="ring-scalar-commutes"),
+    pytest.param(A ** 0 == NcPoly.one(), True, id="zeroth-power-is-one"),
+    pytest.param(LaurentPoly({0: 0}).terms, {}, id="zero-coefficient-dropped"),
+    pytest.param(RingElement.zero() == 0, True, id="zero-scalar-is-zero"),
+])
+def test_mixed_type_arithmetic(value, expected):
+    assert type(value) is type(expected)
+    assert value == expected

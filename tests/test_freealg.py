@@ -127,6 +127,25 @@ def test_parse_caps_the_letters_of_a_word():
         parse_expression("q^-1000001 A")
 
 
+def test_parse_bounds_scalar_products_and_powers():
+    # the benchmark's coefficient forms and wide monomials still parse
+    assert parse_expression("q^1000000 A") == A * LaurentPoly.q_power(1000000)
+    assert parse_expression("[3]_q A") == A * qint(3)
+    assert parse_expression("(q + q^-1) A") == A * LaurentPoly({1: 1, -1: 1})
+    assert parse_expression("(1 - q^11) A") == A * LaurentPoly({0: 1, 11: -1})
+    # coefficient integers are not exponents
+    assert parse_expression("2000000 A") == A * 2000000
+    # room for at most 1000 terms: (q-span + 1)(rho0-span + 1)(rho1-span + 1)
+    assert len(parse_expression("(1+q)^999 A").terms["a"].terms[(0, 0)].terms) == 1000
+    parse_expression("(1+q)^500*(1+q)^499 A")
+    parse_expression("(1+rho0)^9*(1+rho1)^99 A")
+    parse_expression("[500]_q A")
+    for text in ("(1+q)^1000 A", "(1+q)^500*(1+q)^500 A", "(1+rho0)^10*(1+rho1)^99 A",
+                 "[501]_q A"):
+        with pytest.raises(ParseError):
+            parse_expression(text)
+
+
 def test_print_parse_round_trip():
     rng = random.Random(23)
     for _ in range(100):

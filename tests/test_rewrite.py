@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from qonsager import (
     A,
     ASTAR,
@@ -19,6 +21,7 @@ from qonsager import (
     reduce_once,
     trace_reduction,
 )
+from qonsager import rewrite
 from qonsager.rewrite import _apply_rule_at, is_normal
 from conftest import rand_word
 
@@ -140,6 +143,15 @@ def test_trace_replay_reproduces_the_fixed_point():
     assert trace.final == normal_form(x)
     assert trace.step_count == len(trace.steps)
     assert all(line.endswith(f"@pos {p}") for line, (_, p, _) in zip(trace.lines(), trace.steps))
+
+
+def test_trace_stops_at_the_step_limit(monkeypatch):
+    # A^n A* takes F(n) - 1 steps, 4 for n = 5: the limit itself is allowed
+    monkeypatch.setattr(rewrite, "MAX_TRACE_STEPS", 4)
+    assert trace_reduction(A ** 5 * ASTAR).step_count == 4
+    monkeypatch.setattr(rewrite, "MAX_TRACE_STEPS", 3)
+    with pytest.raises(ValueError):
+        trace_reduction(A ** 5 * ASTAR)
 
 
 def test_power_expansion_base_cases():
