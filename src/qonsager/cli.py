@@ -40,6 +40,9 @@ TEST_HOOKS_ENV = "QONSAGER_TEST_HOOKS"
 # The q-Pascal rows then stop at n = 2r + 3 = 43.  On a 2-vCPU AMD EPYC host
 # coeffs --r 30 --format latex took 37 s and 369 MiB, --r 40 202 s and 1.28 GiB.
 MAX_R = 20
+# The largest matrix-check --sites.  Each site doubles the dimension and costs about
+# 7x the time: on the same host --sites 5 --r 1 took 5.1 s, --sites 6 --r 1 32 s.
+MAX_SITES = 5
 
 
 class UsageError(ValueError):
@@ -53,14 +56,20 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from exc
 
 
-def _r_value(text: str) -> int:
-    try:
-        r = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if r > MAX_R:
-        raise argparse.ArgumentTypeError(f"r above {MAX_R} is not supported")
-    return r
+def _int_at_most(cap: int, name: str):
+    """An argparse type: an int of at most ``cap``."""
+    def value(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if n > cap:
+            raise argparse.ArgumentTypeError(f"{name} above {cap} is not supported")
+        return n
+    return value
+
+
+_r_value = _int_at_most(MAX_R, "r")
 
 
 def _fraction_list(text: str):
@@ -286,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_matrix = sub.add_parser("matrix-check", help="exact matrix realization checks")
-    p_matrix.add_argument("--sites", type=int, default=1)
+    p_matrix.add_argument("--sites", type=_int_at_most(MAX_SITES, "sites"), default=1)
     p_matrix.add_argument("--t", type=_fraction, default=Fraction(3, 2))
     p_matrix.add_argument("--v", type=_fraction_list, default=None,
                           help="comma-separated spectral parameters, one per site")

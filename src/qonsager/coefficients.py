@@ -110,10 +110,11 @@ def lusztig_coeffs(r: int) -> CoeffTable:
 
 
 class _XYPoly(SparseSum):
-    """Polynomial in commuting x, y, {(i, j): scalar}; scalars are RingElements
-    or Fractions."""
+    """Polynomial in two commuting variables, {(i, j): scalar}; scalars are
+    LaurentPolys, RingElements or Fractions."""
 
     __slots__ = ()
+    _unit = (0, 0)
     _key_mul = staticmethod(pair_add)
 
 
@@ -188,15 +189,11 @@ def reduced_genfun_coeffs(r: int) -> CoeffTable:
 def _family_sums(r: int) -> dict:
     """{(p, k): u^p v^k coefficient of prod_{s<=r} (1 + u [s]^2_{q^2} + v beta_s)}, the
     sums over disjoint families of p squared q^2-integers and k beta factors."""
-    sums = {(0, 0): LaurentPoly.one()}
+    sums = _XYPoly({(0, 0): LaurentPoly.one()})
     for s in range(1, r + 1):
-        sq, bt = qint(s, base=2) ** 2, beta_s(s)
-        nxt = dict(sums)
-        for (p, k), value in sums.items():
-            for key, factor in (((p + 1, k), sq), ((p, k + 1), bt)):
-                nxt[key] = nxt.get(key, LaurentPoly.zero()) + value * factor
-        sums = nxt
-    return sums
+        sums = sums * _XYPoly({(0, 0): LaurentPoly.one(), (1, 0): qint(s, base=2) ** 2,
+                               (0, 1): beta_s(s)})
+    return sums.terms
 
 
 def closedform_coeff(r: int, p: int, j: int, literal: bool = False) -> LaurentPoly:
@@ -481,15 +478,10 @@ def coeff_table(r: int, route: str = "genfun") -> CoeffTable:
 
 def qbinom_product_coeffs(r: int) -> list[LaurentPoly]:
     """Coefficients of prod_{m=0}^{2r} (1 - q^{2m} u) as a polynomial in u."""
-    coeffs = [LaurentPoly.one()]
+    prod = _XYPoly({(0, 0): LaurentPoly.one()})
     for m in range(2 * r + 1):
-        qm = LaurentPoly.q_power(2 * m)
-        nxt = [LaurentPoly.zero()] * (len(coeffs) + 1)
-        for d, a in enumerate(coeffs):
-            nxt[d] = nxt[d] + a
-            nxt[d + 1] = nxt[d + 1] - qm * a
-        coeffs = nxt
-    return coeffs
+        prod = prod * _XYPoly({(0, 0): LaurentPoly.one(), (1, 0): -LaurentPoly.q_power(2 * m)})
+    return [prod.terms.get((d, 0), LaurentPoly.zero()) for d in range(2 * r + 2)]
 
 
 def qbinom_theorem_coeffs(r: int) -> list[LaurentPoly]:

@@ -109,6 +109,9 @@ class SparseSum:
         return self.terms == other.terms
 
     def __hash__(self):
+        # zero, or a sum held at the unit key, equals a scalar: hash like it
+        if self.terms.keys() <= {self._unit}:
+            return hash(self.terms.get(self._unit, 0))
         return hash(frozenset(self.terms.items()))
 
     def __neg__(self):

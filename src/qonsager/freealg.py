@@ -31,6 +31,11 @@ _MAX_WORD_LETTERS = 128  # per term, over all factors: NF(A^n A*) costs about n^
 # multiplied); spans add under products, and (1+q)^4000 alone took 14 s on a
 # 2-vCPU AMD EPYC host.
 _MAX_SCALAR_TERMS = 1000
+# Parsed integer coefficients stay at most 2^4096 (literals: 1233 digits); the
+# reduction adds 119 bits to NF(A^127 A*) and 177 to NF((A^40 A*)^3), far below
+# the about 14 000 bits of Python's 4300-digit limit on printing an int.
+_MAX_COEFF_BITS = 4096
+_MAX_LITERAL_DIGITS = len(str(2 ** _MAX_COEFF_BITS)) - 1
 
 
 def word_key(w: Word):
@@ -163,13 +168,16 @@ class _Scanner:
             raise ParseError(f"expected {s!r}", self.pos)
 
     def read_uint(self, limit=_MAX_EXPONENT) -> int:
-        """An unsigned integer of at most ``limit``; coefficients pass None."""
+        """An unsigned integer of at most ``limit``, or of at most
+        _MAX_LITERAL_DIGITS digits for a coefficient (limit None)."""
         self.skip_ws()
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected an integer", start)
+        if limit is None and self.pos - start > _MAX_LITERAL_DIGITS:
+            raise ParseError(f"integer longer than {_MAX_LITERAL_DIGITS} digits", start)
         n = int(self.text[start:self.pos])
         if limit is not None and n > limit:
             raise ParseError("exponent overflow", start)
@@ -187,27 +195,31 @@ def _parse_exponent(sc: _Scanner, default: int = 1) -> int:
     return default
 
 
-def _spans(x: RingElement):
-    """(q, rho0, rho1) exponent spans of a scalar: largest minus smallest exponent."""
+def _size(x: RingElement):
+    """(q, rho0, rho1, bits): the exponent spans (largest minus smallest) and
+    ceil(log2) of the sum of |coefficient|; each is at most additive under products."""
     if not x:
-        return (0, 0, 0)
+        return (0, 0, 0, 0)
     qs = [e for p in x.terms.values() for e in p.terms]
     e0s, e1s = zip(*x.terms)
-    return tuple(max(v) - min(v) for v in (qs, e0s, e1s))
+    norm = sum(abs(c) for p in x.terms.values() for c in p.terms.values())
+    return (*(max(v) - min(v) for v in (qs, e0s, e1s)), (norm - 1).bit_length())
 
 
-def _check_size(spans, pos: int):
-    """Reject a scalar whose exponent spans leave room for more than
-    _MAX_SCALAR_TERMS terms, before it is computed."""
-    q, e0, e1 = spans
+def _check_size(size, pos: int):
+    """Reject a scalar, before it is computed, whose size leaves room for more
+    than _MAX_SCALAR_TERMS terms or a coefficient above 2^_MAX_COEFF_BITS."""
+    q, e0, e1, bits = size
     if (q + 1) * (e0 + 1) * (e1 + 1) > _MAX_SCALAR_TERMS:
         raise ParseError(f"scalar with room for more than {_MAX_SCALAR_TERMS} terms", pos)
+    if bits > _MAX_COEFF_BITS:
+        raise ParseError(f"scalar with room for a coefficient above 2^{_MAX_COEFF_BITS}", pos)
 
 
 def _parse_power(sc: _Scanner, value: RingElement) -> RingElement:
     pos = sc.pos
     n = _parse_exponent(sc)
-    _check_size([n * s for s in _spans(value)], pos)
+    _check_size([n * s for s in _size(value)], pos)
     return value ** n
 
 
@@ -253,7 +265,7 @@ def _parse_scalar_product(sc: _Scanner) -> RingElement:
             sc.pos = mark  # the '*' was the optional coeff/word separator
             break
         factor = _parse_atom(sc)
-        _check_size([a + b for a, b in zip(_spans(value), _spans(factor))], mark)
+        _check_size([a + b for a, b in zip(_size(value), _size(factor))], mark)
         value = value * factor
     return value
 

@@ -5,10 +5,12 @@ The single installed rule solves the defining relation for A^3 A*:
     A^3 A*  ->  [3]_q A^2 A* A  -  [3]_q A A* A^2  +  A* A^3  +  rho0 (A A* - A* A)
 
 ``reduce_once`` applies it once, at the leftmost occurrence inside the
-leftmost reducible word (canonical term order); ``trace_reduction`` records
-the same steps up to the fixed point.  ``normal_form`` computes that fixed
-point by wholesale substitution: every maximal block A^n A* (n >= 3) is
-replaced in one shot by the memoized normal form of A^n A*.
+leftmost reducible word (canonical term order); it is the step-wise oracle
+of the tests.  ``normal_form`` computes the fixed point by wholesale
+substitution: every maximal block A^n A* (n >= 3) is replaced in one shot by
+the memoized normal form of A^n A*.  ``trace_reduction`` and
+``normal_form_with_stats`` run the same engine with a ``ReductionTrace``
+that records each block replacement and the peak number of live terms.
 
 The memo uses the rule alone, one step per n:
 
@@ -33,11 +35,6 @@ from .freealg import GEN_A, GEN_ASTAR, NcPoly, word_key, word_string
 from .qnumbers import qint
 
 _REDEX = GEN_A * 3 + GEN_ASTAR  # 'aaas'
-
-# A^n A* takes F(n) - 1 single steps (F the Fibonacci numbers) and each step
-# copies the term dict: A^22 A* (17 710 steps) and the r=4 relation (7 662)
-# fit; on a 2-vCPU AMD EPYC host A^26 A* (121 392 steps) took 5 s, A^30 A* 39 s.
-MAX_TRACE_STEPS = 20_000
 
 
 def measure(w: str) -> tuple[int, int]:
@@ -95,55 +92,17 @@ def _add(terms: dict, w: str, c):
         terms[w] = s
 
 
-def _leftmost_redex(x: NcPoly):
-    """(word, position) of the next rewrite step, or None when x is normal."""
-    target = min((w for w in x.terms if _REDEX in w), key=word_key, default=None)
-    return None if target is None else (target, target.find(_REDEX))
-
-
-def _rewrite_at(x: NcPoly, target: str, pos: int) -> NcPoly:
-    coeff = x.terms[target]
-    out = dict(x.terms)
-    del out[target]
-    return NcPoly(out) + NcPoly({nw: coeff * c for nw, c in _apply_rule_at(target, pos)})
-
-
 def reduce_once(x: NcPoly) -> NcPoly:
     """One rewrite step: leftmost reducible word, leftmost subword occurrence.
 
     Returns the input unchanged when nothing is reducible.
     """
-    redex = _leftmost_redex(x)
-    return x if redex is None else _rewrite_at(x, *redex)
-
-
-@dataclass
-class ReductionTrace:
-    """Audit record of a step-by-step reduction."""
-
-    steps: list = field(default_factory=list)  # (word, position, terms emitted)
-    final: NcPoly = None
-    step_count: int = 0
-
-    def lines(self):
-        return [f"{word_string(w)} -> {k} terms @pos {p}" for (w, p, k) in self.steps]
-
-
-def trace_reduction(x: NcPoly) -> ReductionTrace:
-    """Run reduce_once to the fixed point, recording every step.
-
-    Raises ValueError when the fixed point needs more than MAX_TRACE_STEPS steps.
-    """
-    trace = ReductionTrace()
-    current = x
-    while (redex := _leftmost_redex(current)) is not None:
-        if trace.step_count == MAX_TRACE_STEPS:
-            raise ValueError(f"the trace needs more than {MAX_TRACE_STEPS} steps")
-        trace.steps.append((*redex, len(_RULE)))
-        current = _rewrite_at(current, *redex)
-        trace.step_count += 1
-    trace.final = current
-    return trace
+    target = min((w for w in x.terms if _REDEX in w), key=word_key, default=None)
+    if target is None:
+        return x
+    coeff = x.terms[target]
+    step = NcPoly({nw: coeff * c for nw, c in _apply_rule_at(target, target.find(_REDEX))})
+    return x - NcPoly.from_word(target, coeff) + step
 
 
 # ---------------------------------------------------------------------------
@@ -196,17 +155,31 @@ def _pow_nf(n: int) -> dict:
 
 
 @dataclass
-class ReductionStats:
-    replacements: int = 0
+class ReductionTrace:
+    """What one run of ``_normalize`` did: every block replacement as
+    (word, start of its A^n A* block, terms of NF(A^n A*)), in order, the
+    peak number of live terms, and the normal form."""
+
+    steps: list = field(default_factory=list)
     peak_term_count: int = 0
+    final: NcPoly = None
+
+    @property
+    def replacements(self) -> int:
+        return len(self.steps)
+
+    def lines(self):
+        return [f"{word_string(w)} -> {k} terms @pos {p}" for (w, p, k) in self.steps]
 
 
-def _normalize(terms: dict, stats: ReductionStats | None = None) -> dict:
+def _normalize(terms: dict, record: ReductionTrace | None = None) -> dict:
     """Fixed point of the rule on a raw term dict, by wholesale substitution.
 
     Words are processed longest-first so shorter duplicates merge before they
     are expanded; within one length the worklist is insertion-ordered, hence
-    deterministic.
+    deterministic.  A reducible word lives only in its bucket, so it is popped
+    with its whole coefficient in the running sum of ``result`` and the
+    buckets, and the recorded replacements replay to the same fixed point.
     """
     buckets: dict[int, dict] = {}
     result: dict = {}
@@ -228,8 +201,8 @@ def _normalize(terms: dict, stats: ReductionStats | None = None) -> dict:
 
     for w, c in terms.items():
         insert(buckets.setdefault(len(w), {}), w, c)
-    if stats is not None:
-        stats.peak_term_count = max(stats.peak_term_count, live)
+    if record is not None:
+        record.peak_term_count = max(record.peak_term_count, live)
 
     while buckets:
         length = max(buckets)
@@ -249,10 +222,10 @@ def _normalize(terms: dict, stats: ReductionStats | None = None) -> dict:
                 dest = result if _REDEX not in nw else (
                     bucket if len(nw) == length else buckets.setdefault(len(nw), {}))
                 insert(dest, nw, c * mc)
-            if stats is not None:
-                stats.replacements += 1
-                if live > stats.peak_term_count:
-                    stats.peak_term_count = live
+            if record is not None:
+                record.steps.append((w, start, len(_pow_nf(n))))
+                if live > record.peak_term_count:
+                    record.peak_term_count = live
         del buckets[length]
     return result
 
@@ -262,10 +235,17 @@ def normal_form(x: NcPoly) -> NcPoly:
     return NcPoly(_normalize(x.terms))
 
 
+def trace_reduction(x: NcPoly) -> ReductionTrace:
+    """normal_form(x), with the record of every block replacement."""
+    trace = ReductionTrace()
+    trace.final = NcPoly(_normalize(x.terms, trace))
+    return trace
+
+
 def normal_form_with_stats(x: NcPoly):
-    stats = ReductionStats()
-    nf = NcPoly(_normalize(x.terms, stats))
-    return nf, stats
+    """(normal_form(x), its ReductionTrace with the replacement and peak counts)."""
+    trace = trace_reduction(x)
+    return trace.final, trace
 
 
 # ---------------------------------------------------------------------------

@@ -204,11 +204,28 @@ def test_reduce_irreducible(capsys):
 
 
 def test_reduce_trace(capsys):
-    code, out, _ = run(capsys, "reduce", "A^4 A*", "--trace")
+    code, out, _ = run(capsys, "reduce", "A^4 A* + A A^3 A* A^3 A*", "--trace")
     assert code == EXIT_OK
     lines = out.splitlines()
-    assert lines[0] == "A^4 A* -> 5 terms @pos 1"
-    assert any("@pos 0" in line for line in lines[1:-1])
+    # one line per block replacement (the word, the term count of NF(A^n A*),
+    # the start of the A^n A* block) and the normal form as the last
+    # line; longer words first, the leftmost block of each word
+    assert len(lines) == 9
+    assert lines[:3] == ["A^4 A* A^3 A* -> 6 terms @pos 0",
+                         "A^2 A* A^5 A* -> 8 terms @pos 3",
+                         "A A* A^6 A* -> 9 terms @pos 2"]
+    assert lines[-2] == "A^4 A* -> 6 terms @pos 0"
+    _, plain, _ = run(capsys, "reduce", "A^4 A* + A A^3 A* A^3 A*")
+    assert lines[-1] + "\n" == plain
+
+
+def test_reduce_trace_of_a_long_power_is_quick(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "reduce", "--trace", "A^40 A*")
+    assert code == EXIT_OK
+    assert out == ("A^40 A* -> 60 terms @pos 0\n"
+                   + power_astar_expansion(40).to_string() + "\n")
+    assert time.perf_counter() - start < 1.0
 
 
 def test_reduce_long_power_matches_the_eta_route(capsys):
@@ -227,11 +244,14 @@ def test_reduce_rejects_an_overlong_word_at_once(capsys):
 
 
 @pytest.mark.parametrize("argv, seconds", [
-    (("reduce", "--trace", "A^40 A*"), 5.0),
     (("reduce", "(1+q)^16000 A"), 1.0),
     (("reduce", "[100000]_q^3 A"), 1.0),
     (("coeffs", "--r", "1000000"), 1.0),
     (("verify", "--r-max", "1000000"), 1.0),
+    (("reduce", "(999999)^1000000 A"), 1.0),
+    (("reduce", "(2)^20000 A"), 1.0),
+    (("reduce", "1" * 1234 + " A"), 1.0),
+    (("matrix-check", "--sites", "1000000"), 1.0),
 ])
 def test_oversized_input_exits_2_at_once(capsys, argv, seconds):
     start = time.perf_counter()
@@ -253,6 +273,11 @@ def test_reduce_reads_coefficients_without_the_exponent_cap(capsys):
     assert code == EXIT_OK
     expected = normal_form(parse_expression("A^3 A*")) * 2000000
     assert out == expected.to_string() + "\n"
+    # the largest accepted coefficients: a 1233-digit literal, 2^4096
+    for text, value in (("9" * 1233, 10 ** 1233 - 1), ("(2)^4096", 2 ** 4096)):
+        code, out, _ = run(capsys, "reduce", text + " A^3 A*")
+        assert code == EXIT_OK
+        assert out == (normal_form(parse_expression("A^3 A*")) * value).to_string() + "\n"
 
 
 def test_integrity_exit_survives_optimized_mode():

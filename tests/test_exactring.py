@@ -175,6 +175,18 @@ def test_hash_consistent_with_equality():
     u = parse_expression("rho0 A + A*")
     v = NcPoly({"s": RingElement.one(), "a": RHO0})
     assert u == v and hash(u) == hash(v)
+    # equal values of different rings, and zero, hash alike
+    for value, scalar in ((qint(3), RingElement.from_laurent(qint(3))),
+                          (LaurentPoly.from_int(3), 3),
+                          (RingElement.from_int(-2), -2),
+                          (NcPoly.from_word("", RHO0), RHO0),
+                          (NcPoly.from_word("", 5), 5),
+                          (LaurentPoly.zero(), 0),
+                          (RingElement.zero(), 0),
+                          (NcPoly.zero(), 0)):
+        assert value == scalar and hash(value) == hash(scalar), value
+    assert len({qint(3), RingElement.from_laurent(qint(3)),
+                NcPoly.from_word("", qint(3))}) == 1
 
 
 _THREE = LaurentPoly({0: 3})

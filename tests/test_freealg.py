@@ -140,9 +140,16 @@ def test_parse_bounds_scalar_products_and_powers():
     parse_expression("(1+q)^500*(1+q)^499 A")
     parse_expression("(1+rho0)^9*(1+rho1)^99 A")
     parse_expression("[500]_q A")
+    # integer coefficients up to 2^4096, so literals of at most 1233 digits
+    assert parse_expression("(2)^4096 A") == A * 2 ** 4096
+    assert parse_expression("(2)^2048*(2)^2048 A") == A * 2 ** 4096
+    assert parse_expression("9" * 1233 + " A") == A * (10 ** 1233 - 1)
     for text in ("(1+q)^1000 A", "(1+q)^500*(1+q)^500 A", "(1+rho0)^10*(1+rho1)^99 A",
                  "[501]_q A"):
         with pytest.raises(ParseError):
+            parse_expression(text)
+    for text in ("(2)^4097 A", "(2)^2048*(2)^2049 A", "(999999)^1000000 A", "9" * 1234 + " A"):
+        with pytest.raises(ParseError, match=r"2\^4096|1233 digits"):
             parse_expression(text)
 
 

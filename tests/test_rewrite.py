@@ -21,7 +21,6 @@ from qonsager import (
     reduce_once,
     trace_reduction,
 )
-from qonsager import rewrite
 from qonsager.rewrite import _apply_rule_at, is_normal
 from conftest import rand_word
 
@@ -128,30 +127,36 @@ def test_normal_form_is_idempotent():
         assert normal_form(nf) == nf
 
 
-def test_trace_replay_reproduces_the_fixed_point():
-    x = A ** 4 * ASTAR + A ** 3 * ASTAR * A
-    trace = trace_reduction(x)
+def replay(x: NcPoly, trace) -> NcPoly:
+    """Apply the recorded block replacements to x, one at a time, with the
+    eta route's expansion of each A^n A* block."""
     current = x
-    for (word, pos, _k) in trace.steps:
-        assert word in current.terms
+    for (word, start, k) in trace.steps:
+        n = word.index("s", start) - start
+        block = power_astar_expansion(n)
+        assert n >= 3 and len(block.terms) == k
         coeff = current.terms[word]
-        repl = NcPoly({nw: coeff * rc for nw, rc in _apply_rule_at(word, pos)})
         rest = dict(current.terms)
         del rest[word]
-        current = NcPoly(rest) + repl
-    assert current == trace.final
-    assert trace.final == normal_form(x)
-    assert trace.step_count == len(trace.steps)
-    assert all(line.endswith(f"@pos {p}") for line, (_, p, _) in zip(trace.lines(), trace.steps))
+        pre, post = word[:start], word[start + n + 1:]
+        current = NcPoly(rest) + NcPoly(
+            {pre + w + post: coeff * c for w, c in block.terms.items()})
+    return current
 
 
-def test_trace_stops_at_the_step_limit(monkeypatch):
-    # A^n A* takes F(n) - 1 steps, 4 for n = 5: the limit itself is allowed
-    monkeypatch.setattr(rewrite, "MAX_TRACE_STEPS", 4)
-    assert trace_reduction(A ** 5 * ASTAR).step_count == 4
-    monkeypatch.setattr(rewrite, "MAX_TRACE_STEPS", 3)
-    with pytest.raises(ValueError):
-        trace_reduction(A ** 5 * ASTAR)
+def test_trace_replay_reproduces_the_fixed_point():
+    # the mix rewrites some words twice: a later block replacement re-creates them
+    rng = random.Random(34)
+    mix = sum((NcPoly.from_word(rand_word(rng, max_len=16), ALPHA ** i)
+               for i in range(24)), NcPoly.zero())
+    for x in (A ** 4 * ASTAR + A ** 3 * ASTAR * A,
+              build_relation_lhs(coeff_table(3, "genfun")), mix):
+        trace = trace_reduction(x)
+        assert trace.replacements == len(trace.steps) > 0
+        assert trace.final == normal_form(x)
+        assert replay(x, trace) == trace.final
+        assert all(line.endswith(f"@pos {p}")
+                   for line, (_, p, _) in zip(trace.lines(), trace.steps))
 
 
 def test_power_expansion_base_cases():
@@ -178,7 +183,6 @@ def test_eta_base_cases_from_the_tables():
 
 
 def test_eta_outside_grid_raises():
-    import pytest
     with pytest.raises(KeyError):
         ETA.value(4, 2, 0)
     with pytest.raises(KeyError):

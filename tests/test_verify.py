@@ -132,6 +132,14 @@ def test_cross_check_routes_agree():
     assert report.checked_entries == 8
 
 
+def test_cross_check_routes_agree_to_r10():
+    # genfun against recursion and closed, table by table, past the r <= 8 of
+    # the acceptance suite
+    report = cross_check_routes(10)
+    assert report.equal, report.to_json_dict()
+    assert report.checked_entries == 20
+
+
 def test_cross_check_reports_the_literal_divergence():
     report = cross_check_routes(4, include_literal=True)
     assert not report.equal
