@@ -10,7 +10,8 @@ of the tests.  ``normal_form`` computes the fixed point by wholesale
 substitution: every maximal block A^n A* (n >= 3) is replaced in one shot by
 the memoized normal form of A^n A*.  ``trace_reduction`` and
 ``normal_form_with_stats`` run the same engine with a ``ReductionTrace``
-that records each block replacement and the peak number of live terms.
+that records each block replacement and the peak number of live terms;
+the latter runs it on packed ints when its input is graded (below).
 
 The memo uses the rule alone, one step per n:
 
@@ -24,6 +25,52 @@ independent construction and tested equal.
 
 Only the A-side relation is installed.  The A*-side family is reached
 through the dagger automorphism, never by a second rule.
+
+``_normalize`` learns how a block expands only through a memo view, a map
+(n, post) -> (word, coefficient) pairs for the block A^n A* followed by
+the letters ``post``; sums are tested for zero by ``not s``.  Three views
+exist: the memo itself (RingElement coefficients), its majorant (the exact
+l1 norm of each coefficient, an int) and its packing (one int per
+coefficient).  ``normal_form``, ``trace_reduction`` and ``reduce`` use the
+first.
+
+Packed graded coefficients.  Give A and A* degree 1 and rho0 degree 2;
+the rule is homogeneous and its coefficients have even q-exponents.  So on
+one graded component (one total degree, no rho1, even q-exponents only) the
+rho0 power of a word is fixed by its length, and a coefficient is a Laurent
+polynomial in X = q^2.  ``normal_form_with_stats`` packs such input:
+
+1. the coefficient of word w is scaled by X^(-inv(w)) (inv from
+   ``measure``), and all of them by one global X^G that leaves no negative
+   exponent;
+2. the majorant pass runs the reduction on the l1 norms of the input
+   coefficients with the majorant view;
+3. K = (bit length of the largest final majorant value) + 2;
+4. the packed pass runs it on the scaled coefficients evaluated at X = 2^K,
+   with the packed view: the coefficient of mw in NF(A^n A*) times
+   X^(inv(A^n A*) - inv(mw)), a polynomial, evaluated at 2^K and multiplied
+   by 2^(K (n - a(mw)) s(post)), where a counts A's and s counts A*'s.
+   Then each replacement keeps the scaling of step 1 exactly;
+5. each final int is read in balanced base-2^K digits back into a
+   RingElement.
+
+Why K suffices.  Each word's expansion is fixed (leftmost block, fixed
+memo), so the reduction is a tree of paths, and every live coefficient, at
+any moment of the packed pass, is a signed sum of distinct path products
+(input coefficient times memo coefficients times powers of X).  By the
+triangle inequality and ||fg|| <= ||f|| ||g|| for the l1 norm, its l1 norm
+is at most the majorant's path mass through that word.  Every memo
+coefficient is nonzero with integer coefficients, so its l1 norm is >= 1
+and the mass through a word is at most the mass that reaches any normal
+word below it, hence at most the largest final majorant value, which is
+below 2^(K-2).  Evaluation at 2^K is a ring homomorphism, and a polynomial
+whose coefficients all lie below 2^(K-1) in absolute value vanishes at 2^K
+only if it is zero (Cauchy's root bound).  So every zero test of the packed
+pass is exact, it makes the same replacements as the RingElement pass, and
+the unpacked residual is exact.  A scaled memo coefficient with a negative
+X exponent, or an unpacked digit of 2^(K-2) or more, would break this
+argument; both raise ``AssertionError`` (not ``assert``, so the checks stay
+under ``python -O``).
 """
 
 from __future__ import annotations
@@ -154,15 +201,104 @@ def _pow_nf(n: int) -> dict:
     return prev
 
 
+def _ring_view(n: int, post: str):
+    """Memo view: NF(A^n A*) itself, as (word, RingElement) pairs."""
+    return _pow_nf(n).items()
+
+
+def _majorant_view():
+    """Memo view: the exact l1 norm of each coefficient of NF(A^n A*)."""
+    norms: dict[int, list] = {}
+
+    def view(n: int, post: str):
+        pairs = norms.get(n)
+        if pairs is None:
+            pairs = norms[n] = [
+                (mw, sum(abs(v) for p in c.terms.values() for v in p.terms.values()))
+                for mw, c in _pow_nf(n).items()]
+        return pairs
+    return view
+
+
+def _packed_view(width: int):
+    """Memo view at X = 2^width: the coefficient of mw times
+    X^(inv(A^n A*) - inv(mw)), shifted by width * (n - a(mw)) * s(post)."""
+    heads: dict[int, list] = {}
+    shifted: dict[tuple, list] = {}
+
+    def view(n: int, post: str):
+        s = post.count(GEN_ASTAR)
+        pairs = shifted.get((n, s))
+        if pairs is None:
+            head = heads.get(n)
+            if head is None:
+                head = heads[n] = []
+                for mw, c in _pow_nf(n).items():
+                    poly = _x_poly(mw, c, n + 1)
+                    if poly is None:
+                        raise AssertionError(
+                            f"memo coefficient of {mw!r} in NF(A^{n} A*) is not graded")
+                    head.append((mw, _pack(poly, width, n - measure(mw)[1]),
+                                 n - mw.count(GEN_A)))
+            pairs = shifted[(n, s)] = [(mw, v << (width * d * s)) for mw, v, d in head]
+        return pairs
+    return view
+
+
+def _x_poly(w: str, c: RingElement, degree: int):
+    """c as {X exponent: int}, X = q^2, when c w lies in the graded component
+    of this degree (rho0^((degree - len(w))/2), no rho1, even q-exponents);
+    None otherwise."""
+    if len(c.terms) != 1:
+        return None
+    ((e0, e1), p), = c.terms.items()
+    if e1 or len(w) + 2 * e0 != degree or any(e & 1 for e in p.terms):
+        return None
+    return {e >> 1: v for e, v in p.terms.items()}
+
+
+def _pack(poly: dict, width: int, offset: int) -> int:
+    """poly times X^offset, evaluated at X = 2^width."""
+    out = 0
+    for e, v in poly.items():
+        if e + offset < 0:
+            raise AssertionError(f"negative X exponent {e + offset} in a packed coefficient")
+        out += v << (width * (e + offset))
+    return out
+
+
+def _unpack(value: int, width: int) -> dict:
+    """The balanced base-2^width digits of value, {position: digit != 0};
+    each digit must lie below 2^(width-2) in absolute value."""
+    digits = {}
+    mask, half, limit = (1 << width) - 1, 1 << (width - 1), 1 << (width - 2)
+    i = 0
+    while value:
+        d = value & mask
+        if d >= half:
+            d -= 1 << width
+        if not -limit < d < limit:
+            raise AssertionError(f"packed digit {d} reaches 2^{width - 2}")
+        if d:
+            digits[i] = d
+        value = (value - d) >> width
+        i += 1
+    return digits
+
+
 @dataclass
 class ReductionTrace:
     """What one run of ``_normalize`` did: every block replacement as
     (word, start of its A^n A* block, terms of NF(A^n A*)), in order, the
-    peak number of live terms, and the normal form."""
+    peak number of live terms, and the normal form.  A packed run also
+    records its width K (``width_bits``) and the bit length of the largest
+    majorant value (``majorant_bits``); both stay 0 on the RingElement view."""
 
     steps: list = field(default_factory=list)
     peak_term_count: int = 0
     final: NcPoly = None
+    width_bits: int = 0
+    majorant_bits: int = 0
 
     @property
     def replacements(self) -> int:
@@ -172,9 +308,10 @@ class ReductionTrace:
         return [f"{word_string(w)} -> {k} terms @pos {p}" for (w, p, k) in self.steps]
 
 
-def _normalize(terms: dict, record: ReductionTrace | None = None) -> dict:
+def _normalize(terms: dict, expand=_ring_view, record: ReductionTrace | None = None) -> dict:
     """Fixed point of the rule on a raw term dict, by wholesale substitution.
 
+    ``expand`` is the memo view that gives each block's replacement terms.
     Words are processed longest-first so shorter duplicates merge before they
     are expanded; within one length the worklist is insertion-ordered, hence
     deterministic.  A reducible word lives only in its bucket, so it is popped
@@ -193,7 +330,7 @@ def _normalize(terms: dict, record: ReductionTrace | None = None) -> dict:
             live += 1
         else:
             s = s + c
-            if s.is_zero():
+            if not s:
                 del bucket[w]
                 live -= 1
             else:
@@ -217,13 +354,14 @@ def _normalize(terms: dict, record: ReductionTrace | None = None) -> dict:
                 continue
             start, n = block
             pre, post = w[:start], w[start + n + 1:]
-            for mw, mc in _pow_nf(n).items():
+            pairs = expand(n, post)
+            for mw, mc in pairs:
                 nw = pre + mw + post
                 dest = result if _REDEX not in nw else (
                     bucket if len(nw) == length else buckets.setdefault(len(nw), {}))
                 insert(dest, nw, c * mc)
             if record is not None:
-                record.steps.append((w, start, len(_pow_nf(n))))
+                record.steps.append((w, start, len(pairs)))
                 if live > record.peak_term_count:
                     record.peak_term_count = live
         del buckets[length]
@@ -238,13 +376,51 @@ def normal_form(x: NcPoly) -> NcPoly:
 def trace_reduction(x: NcPoly) -> ReductionTrace:
     """normal_form(x), with the record of every block replacement."""
     trace = ReductionTrace()
-    trace.final = NcPoly(_normalize(x.terms, trace))
+    trace.final = NcPoly(_normalize(x.terms, record=trace))
     return trace
 
 
+def _graded_input(terms: dict):
+    """(degree, {word: X-polynomial}) when the terms form one graded
+    component, else None."""
+    degree = None
+    polys = {}
+    for w, c in terms.items():
+        if degree is None:
+            degree = len(w) + 2 * next(iter(c.terms))[0]
+        poly = _x_poly(w, c, degree)
+        if poly is None:
+            return None
+        polys[w] = poly
+    return (degree, polys) if polys else None
+
+
 def normal_form_with_stats(x: NcPoly):
-    """(normal_form(x), its ReductionTrace with the replacement and peak counts)."""
-    trace = trace_reduction(x)
+    """(normal_form(x), its ReductionTrace with the replacement and peak counts).
+
+    One graded component is reduced on packed ints (module docstring), any
+    other input on the RingElement view; both give the same trace and result.
+    """
+    graded = _graded_input(x.terms)
+    if graded is None:
+        trace = trace_reduction(x)
+        return trace.final, trace
+    degree, polys = graded
+    inv = {w: measure(w)[1] for w in polys}
+    shift = max(inv[w] - min(p) for w, p in polys.items())
+    majorant = _normalize({w: sum(map(abs, p.values())) for w, p in polys.items()},
+                          _majorant_view())
+    bits = max(majorant.values()).bit_length()
+    width = bits + 2
+    trace = ReductionTrace(width_bits=width, majorant_bits=bits)
+    packed = _normalize({w: _pack(p, width, shift - inv[w]) for w, p in polys.items()},
+                        _packed_view(width), trace)
+    terms = {}
+    for w, value in packed.items():
+        base = measure(w)[1] - shift
+        coeff = LaurentPoly({2 * (i + base): d for i, d in _unpack(value, width).items()})
+        terms[w] = RingElement({((degree - len(w)) // 2, 0): coeff})
+    trace.final = NcPoly(terms)
     return trace.final, trace
 
 

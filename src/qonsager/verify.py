@@ -127,6 +127,10 @@ class RouteMismatch:
 
 @dataclass
 class CrossCheckReport:
+    """Outcome of ``cross_check_routes``.  ``checked_entries`` counts the
+    compared table pairs (one per route besides the first, per r), not the
+    coefficient entries inside them: r_max = 10 gives 20."""
+
     r_max: int
     routes: tuple
     equal: bool

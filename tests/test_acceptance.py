@@ -73,11 +73,11 @@ def test_criterion_2_relation_verification():
     ok = all(verify_relation(r).ok() for r in range(1, 6))
     small = time.perf_counter() - start
     start = time.perf_counter()
-    ok = ok and verify_relation(6).ok() and verify_relation(7).ok()
+    ok = ok and verify_relation(6).ok() and verify_relation(7).ok() and verify_relation(8).ok()
     large = time.perf_counter() - start
-    _report(2, "verify_relation zero for r=1..7",
+    _report(2, "verify_relation zero for r=1..8",
             ok and small < 10.0 and large < 300.0,
-            f" (r<=5: {small:.2f}s, r=6..7: {large:.1f}s)")
+            f" (r<=5: {small:.2f}s, r=6..8: {large:.1f}s)")
 
 
 def test_criterion_3_route_agreement():

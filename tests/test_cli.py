@@ -295,6 +295,22 @@ def test_integrity_exit_survives_optimized_mode():
     assert "integrity" in proc.stderr
 
 
+def test_packed_integrity_exit_survives_optimized_mode():
+    # a memo coefficient q^-8 on A* A^3 scales to X^-1 in the packed view of
+    # NF(A^3 A*); verify must exit 3 under -O, not reduce with a wrapped value
+    script = ("import sys\n"
+              "from qonsager import LaurentPoly, RingElement, rewrite\n"
+              "from qonsager.cli import main\n"
+              "rewrite._pow_nf(3)['saaa'] = RingElement.from_laurent(LaurentPoly.q_power(-8))\n"
+              "sys.exit(main(['verify', '--r-max', '2']))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qonsager.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_INTEGRITY, proc.stderr
+    assert "negative X exponent" in proc.stderr
+
+
 def test_reduce_syntax_error(capsys):
     code, _, err = run(capsys, "reduce", "A^^")
     assert code == EXIT_USAGE

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -6,9 +7,11 @@ from qonsager import (
     A,
     ASTAR,
     ETA,
+    CoeffTable,
     LaurentPoly,
     NcPoly,
     RHO0,
+    RHO1,
     RingElement,
     build_relation_lhs,
     coeff_table,
@@ -21,7 +24,9 @@ from qonsager import (
     reduce_once,
     trace_reduction,
 )
-from qonsager.rewrite import _apply_rule_at, is_normal
+import qonsager.verify
+from qonsager.cli import TEST_HOOKS_ENV, main
+from qonsager.rewrite import _apply_rule_at, _pack, _unpack, is_normal
 from conftest import rand_word
 
 ALPHA = RingElement.from_laurent(qint(3))
@@ -207,3 +212,131 @@ def test_stats_report_peak_and_replacements():
     nf2, stats2 = normal_form_with_stats(nf)
     assert stats2.replacements == 0
     assert nf2 == nf
+
+
+# ---------------------------------------------------------------------------
+# Packed graded reduction against the RingElement view
+# ---------------------------------------------------------------------------
+
+
+def assert_views_agree(x):
+    """normal_form_with_stats(x) runs packed; trace_reduction(x) is the
+    RingElement view of the same loop.  Returns the packed result."""
+    nf, packed = normal_form_with_stats(x)
+    ring = trace_reduction(x)
+    assert packed.width_bits == packed.majorant_bits + 2 > 2
+    assert (ring.width_bits, ring.majorant_bits) == (0, 0)
+    assert nf == packed.final == ring.final
+    assert packed.steps == ring.steps
+    assert (packed.replacements, packed.peak_term_count) == (
+        ring.replacements, ring.peak_term_count)
+    return nf
+
+
+@pytest.mark.parametrize("route", ["genfun", "recursion"])
+def test_packed_view_agrees_on_the_relations(route):
+    for r in range(1, 7):
+        assert assert_views_agree(build_relation_lhs(coeff_table(r, route))).is_zero(), r
+
+
+def sabotaged_table(r, p, j, delta):
+    table = coeff_table(r, "genfun")
+    entries = dict(table.entries)
+    entries[(p, j)] = entries[(p, j)] + delta
+    return CoeffTable(r=r, route="genfun+sabotage", entries=entries)
+
+
+def test_packed_view_agrees_on_sabotaged_tables():
+    rng = random.Random(41)
+    for r in (3, 4, 5, 3, 4, 5):
+        p = rng.randrange(r + 1)
+        j = rng.randrange(2 * (r - p) + 2)
+        delta = rng.choice((-3, -2, -1, 1, 2, 3))
+        nf = assert_views_agree(build_relation_lhs(sabotaged_table(r, p, j, delta)))
+        assert not nf.is_zero(), (r, p, j, delta)
+    # the p = r row multiplies the normal word A A*^r: a one-term residual
+    nf = assert_views_agree(build_relation_lhs(sabotaged_table(5, 5, 0, 1)))
+    assert nf == NcPoly.from_word("a" + "s" * 5, -RHO0 ** 5)
+
+
+def rand_graded(rng, degree, terms):
+    """A random element of one graded component: rho0^e w with
+    len(w) + 2e == degree, coefficients in even powers of q."""
+    x = NcPoly.zero()
+    for _ in range(terms):
+        e = rng.randrange(degree // 2)
+        w = "".join(rng.choice("aaas") for _ in range(degree - 2 * e))
+        c = LaurentPoly({2 * rng.randint(-4, 4): rng.randint(-5, 5) for _ in range(3)})
+        x = x + NcPoly.from_word(w, RHO0 ** e * c)
+    return x
+
+
+def test_packed_view_agrees_on_random_graded_input():
+    rng = random.Random(42)
+    for _ in range(30):
+        x = rand_graded(rng, rng.randint(4, 13), rng.randint(1, 8))
+        if x.is_zero():
+            continue
+        assert_views_agree(x)
+        # a rule step leaves the class of x unchanged, so this cancels to zero
+        y = x - reduce_once(reduce_once(x))
+        if not y.is_zero():
+            assert assert_views_agree(y).is_zero()
+
+
+def test_ungraded_input_takes_the_ring_view():
+    q = LaurentPoly.q_power(1)
+    for x in (A ** 4 * ASTAR + RHO1 * (A ** 3 * ASTAR),  # rho1
+              q * (A ** 4 * ASTAR),                      # odd q-power
+              A ** 4 * ASTAR + A ** 3 * ASTAR,           # two degrees
+              (ONE + RHO0) * (A ** 5 * ASTAR)):          # two degrees in one coefficient
+        nf, stats = normal_form_with_stats(x)
+        assert (stats.width_bits, stats.majorant_bits) == (0, 0)
+        assert nf == normal_form(x) == trace_reduction(x).final
+        assert stats.replacements > 0
+
+
+def test_packed_width_is_pinned():
+    for r, expected in {5: (39, 37), 6: (51, 49)}.items():
+        _, stats = normal_form_with_stats(build_relation_lhs(coeff_table(r, "genfun")))
+        assert (stats.width_bits, stats.majorant_bits) == expected, r
+
+
+def test_packing_checks_raise_outright():
+    assert _pack({0: 1, 2: -3}, 8, 1) == (1 << 8) - (3 << 24)
+    assert _unpack((1 << 8) - (3 << 24), 8) == {1: 1, 3: -3}
+    with pytest.raises(AssertionError, match="negative X exponent"):
+        _pack({0: 1, 2: -3}, 8, -1)
+    assert _unpack(-63, 8) == {0: -63}
+    with pytest.raises(AssertionError, match="reaches"):
+        _unpack(64, 8)
+    with pytest.raises(AssertionError, match="reaches"):
+        _unpack((-64) << 16, 8)
+
+
+def verify_lines(capsys, *argv):
+    """verify's JSON lines without the timing field."""
+    main(["verify", *argv])
+    docs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    for doc in docs:
+        del doc["elapsed_ms"]
+    return docs
+
+
+def test_verify_json_is_the_same_on_both_views(monkeypatch, capsys):
+    monkeypatch.setenv(TEST_HOOKS_ENV, "1")
+    runs = (("--r-max", "6", "--family", "both"),
+            ("--r-max", "5", "--family", "both", "--sabotage", "c:5,2,3:-2"),
+            ("--r-max", "4", "--family", "both", "--sabotage", "c:4,4,1:+1"))
+    packed = [verify_lines(capsys, *argv) for argv in runs]
+    ring = {}
+
+    def ring_view(x):
+        if x not in ring:
+            trace = trace_reduction(x)
+            ring[x] = (trace.final, trace)
+        return ring[x]
+
+    monkeypatch.setattr(qonsager.verify, "normal_form_with_stats", ring_view)
+    assert [verify_lines(capsys, *argv) for argv in runs] == packed
+    assert packed[1][-1]["residual"] and packed[2][-1]["residual"]
