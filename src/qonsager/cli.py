@@ -41,7 +41,8 @@ TEST_HOOKS_ENV = "QONSAGER_TEST_HOOKS"
 # coeffs --r 30 --format latex took 37 s and 369 MiB, --r 40 202 s and 1.28 GiB.
 MAX_R = 20
 # The largest matrix-check --sites.  Each site doubles the dimension and costs about
-# 7x the time: on the same host --sites 5 --r 1 took 5.1 s, --sites 6 --r 1 32 s.
+# 8x the time: on the same host --sites 4 / 5 / 6 --r 1 took 0.05 / 0.35 / 2.7 s, and
+# --sites 5 --r 5 1.0 s.
 MAX_SITES = 5
 
 

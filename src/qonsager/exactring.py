@@ -282,14 +282,29 @@ class LaurentPoly(SparseSum):
     # -- evaluation --------------------------------------------------------
 
     def eval_at(self, q_val: Fraction) -> Fraction:
-        """Exact substitution q = q_val (q_val nonzero)."""
+        """Exact substitution q = q_val (q_val nonzero).
+
+        With q = u/v the value is S u^lo / v^hi, where lo and hi are the least
+        and greatest exponents and S = sum c_e u^(e-lo) v^(hi-e) is an integer,
+        summed by Horner's rule over the exponent gaps: one Fraction at the
+        end instead of one Fraction power per term.
+        """
         q_val = Fraction(q_val)
         if q_val == 0:
             raise ValueError("q must be nonzero")
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            total += c * q_val ** e
-        return total
+        if not self.terms:
+            return Fraction(0)
+        u, v = q_val.numerator, q_val.denominator
+        exps = sorted(self.terms, reverse=True)
+        hi = prev = exps[0]
+        s = self.terms[hi]
+        v_pow = 1
+        for e in exps[1:]:
+            gap = prev - e
+            v_pow *= v ** gap
+            s = s * u ** gap + self.terms[e] * v_pow
+            prev = e
+        return s * Fraction(u) ** prev / Fraction(v) ** hi
 
     # -- canonical text form -------------------------------------------------
 

@@ -6,8 +6,9 @@ tensor product of two-dimensional evaluation modules:
     A  = c0 e0 q^{h0/2} + cbar0 f0 q^{h0/2} + eps0 q^{h0}
     A* = c1 e1 q^{h1/2} + cbar1 f1 q^{h1/2} + eps1 q^{h1}
 
-with rho_i = c_i cbar_i (q + q^{-1})^2.  Everything is a Fraction; q = t^2
-so the half-weight diagonals stay rational.
+with rho_i = c_i cbar_i (q + q^{-1})^2.  Every entry is a Fraction; q = t^2
+so the half-weight diagonals stay rational.  ``eval_ncpoly`` multiplies on
+integer matrices over one common denominator and returns the exact image.
 
 Evaluation-module and coproduct conventions are pinned here and validated
 solely by the ``check_qdg`` gate: if the gate passes, the pair genuinely
@@ -17,11 +18,14 @@ soundness checks use.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactring import Rational
-from .freealg import GEN_A, NcPoly
+from .exactring import RHO0, Rational
+from .freealg import A, ASTAR, GEN_A, GEN_ASTAR, NcPoly
+from .qnumbers import qint
 
 
 class ExactMatrix:
@@ -246,38 +250,66 @@ def coideal_generators(params: CoidealParams) -> CoidealRealization:
                               rho0=params.rho0, rho1=params.rho1)
 
 
-def _qdg_side(x: ExactMatrix, y: ExactMatrix, rho: Fraction, q: Fraction) -> ExactMatrix:
-    """x^3 y - [3]_q x^2 y x + [3]_q x y x^2 - y x^3 - rho (x y - y x)."""
-    three = q ** 2 + 1 + q ** -2
-    return (x * x * x * y - three * (x * x * y * x) + three * (x * y * x * x)
-            - y * x * x * x - rho * (x * y - y * x))
+# The defining relation A^3 A* - [3]_q A^2 A* A + [3]_q A A* A^2 - A* A^3
+# = rho0 (A A* - A* A), moved to one side; its dagger is the other relation.
+_QDG = (A * A * A * ASTAR - qint(3) * (A * A * ASTAR * A) + qint(3) * (A * ASTAR * A * A)
+        - ASTAR * A * A * A - RHO0 * (A * ASTAR - ASTAR * A))
+_QDG_DAGGER = _QDG.dagger()
 
 
 def check_qdg(a: ExactMatrix, astar: ExactMatrix, rho0: Rational, rho1: Rational,
               q: Rational) -> bool:
     """Both defining relations hold exactly for the matrix pair."""
     a._match(astar)
-    q = Fraction(q)
-    if q == 0:
+    if Fraction(q) == 0:
         raise ValueError("q must be nonzero")
-    return (_qdg_side(a, astar, Fraction(rho0), q).is_zero()
-            and _qdg_side(astar, a, Fraction(rho1), q).is_zero())
+    return all(eval_ncpoly(p, a, astar, q, rho0, rho1).is_zero()
+               for p in (_QDG, _QDG_DAGGER))
 
 
 def check_realization(real: CoidealRealization) -> bool:
     return check_qdg(real.A, real.Astar, real.rho0, real.rho1, real.q)
 
 
+def _int_matmul(x, y):
+    cols = list(zip(*y))
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in x]
+
+
 def eval_ncpoly(x: NcPoly, a: ExactMatrix, astar: ExactMatrix,
                 q_val: Rational, rho0_val: Rational, rho1_val: Rational) -> ExactMatrix:
     """Evaluation homomorphism from the free algebra: letters become the
-    matrices, coefficients evaluate at (q, rho0, rho1)."""
+    matrices, coefficients evaluate at (q, rho0, rho1).
+
+    Exact, in integers: with d the common denominator of the entries of A and
+    A*, a word w of value c becomes c (dA)^w / d^len(w).  Every word is put over
+    the one denominator D = lcm of den(c) d^len(w), so each adds an integer
+    multiple of its integer image to one integer total, and the result is
+    total / D.  The words go in lexicographic order over a stack of prefix
+    products, so each distinct prefix is multiplied out once and at most
+    max len(w) + 1 products are held.
+    """
     a._match(astar)
     n = a.n
-    total = ExactMatrix.zeros(n)
-    for word, coeff in x.sorted_terms():
-        m = ExactMatrix.identity(n)
-        for ch in word:
-            m = m * (a if ch == GEN_A else astar)
-        total = total + coeff.eval_at(q_val, rho0_val, rho1_val) * m
-    return total
+    d = math.lcm(*(e.denominator for m in (a, astar) for row in m.rows for e in row))
+    gens = {ch: [[e.numerator * (d // e.denominator) for e in row] for row in m.rows]
+            for ch, m in ((GEN_A, a), (GEN_ASTAR, astar))}
+    values = [(w, c.eval_at(q_val, rho0_val, rho1_val)) for w, c in sorted(x.terms.items())]
+    values = [(w, c) for w, c in values if c]
+    den = math.lcm(*(c.denominator * d ** len(w) for w, c in values))
+    total = [[0] * n for _ in range(n)]
+    stack = [[[int(i == j) for j in range(n)] for i in range(n)]]
+    prev = ""
+    for w, c in values:
+        k = 0
+        while k < len(prev) and k < len(w) and prev[k] == w[k]:
+            k += 1
+        del stack[k + 1:]
+        for ch in w[k:]:
+            stack.append(_int_matmul(stack[-1], gens[ch]))
+        scale = c.numerator * (den // (c.denominator * d ** len(w)))
+        for trow, mrow in zip(total, stack[-1]):
+            for j, m in enumerate(mrow):
+                trow[j] += scale * m
+        prev = w
+    return ExactMatrix([[Fraction(t, den) for t in row] for row in total])

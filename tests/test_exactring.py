@@ -95,6 +95,19 @@ def test_eval_at_one_is_classical_limit():
         assert x.eval_at(Fraction(1)) == sum(x.terms.values())
 
 
+def test_eval_at_matches_the_term_wise_sum():
+    rng = random.Random(8)
+    points = [Fraction(s * u, v) for s in (1, -1) for u, v in ((81, 16), (3, 7), (1, 5), (6, 1))]
+    polys = [rand_laurent(rng, max_terms=6, max_exp=15) for _ in range(60)]
+    # zero, one term, mixed signs of exponents, all negative, all positive
+    polys += [LaurentPoly.zero(), Q(-9, -4), Q(12, 5) + Q(-13, 2),
+              LaurentPoly({-6: 1, -2: -3}), Q(7, -1) + Q(3, 2)]
+    for p in polys:
+        for q in points:
+            expected = sum((c * q ** e for e, c in p.terms.items()), Fraction(0))
+            assert p.eval_at(q) == expected, (p, q)
+
+
 def test_eval_rejects_zero_q():
     with pytest.raises(ValueError):
         qint(2).eval_at(Fraction(0))

@@ -4,8 +4,11 @@ from fractions import Fraction
 import pytest
 
 from qonsager import (
+    RHO0,
+    RHO1,
     CoidealParams,
     ExactMatrix,
+    LaurentPoly,
     NcPoly,
     build_relation_lhs,
     check_qdg,
@@ -17,8 +20,11 @@ from qonsager import (
     reduced_genfun_coeffs,
     tensor_rep,
 )
+from qonsager.coefficients import CoeffTable
+from qonsager.freealg import GEN_A
+from qonsager import matrixrep
 from qonsager.matrixrep import commutator
-from conftest import rand_word
+from conftest import rand_ncpoly, rand_word
 
 T = Fraction(3, 2)
 Q = T * T
@@ -26,6 +32,19 @@ Q = T * T
 
 def qnum(n, q):
     return (q ** n - q ** -n) / (q - 1 / q)
+
+
+def eval_by_words(x, a, astar, q_val, rho0_val, rho1_val):
+    """The reference evaluation: every word multiplied out from the identity
+    in Fraction arithmetic, one scaled image added per word."""
+    n = a.n
+    total = ExactMatrix.zeros(n)
+    for word, coeff in x.sorted_terms():
+        m = ExactMatrix.identity(n)
+        for ch in word:
+            m = m * (a if ch == GEN_A else astar)
+        total = total + coeff.eval_at(q_val, rho0_val, rho1_val) * m
+    return total
 
 
 def gate_realization(sites, **scalars):
@@ -201,3 +220,85 @@ def test_matrix_dimension_mismatch():
     with pytest.raises(ValueError):
         check_qdg(ExactMatrix.identity(2), ExactMatrix.identity(3),
                   Fraction(0), Fraction(0), Q)
+
+
+def assert_matches_oracle(x, real):
+    point = (real.q, real.rho0, real.rho1)
+    image = eval_ncpoly(x, real.A, real.Astar, *point)
+    assert image == eval_by_words(x, real.A, real.Astar, *point)
+    return image
+
+
+GENERIC = {"c0": 2, "c1": Fraction(-3, 4), "cbar0": Fraction(1, 2),
+           "cbar1": Fraction(5, 3), "eps0": Fraction(1, 4), "eps1": Fraction(-7, 5)}
+
+
+def test_eval_ncpoly_matches_word_by_word_oracle():
+    rng = random.Random(43)
+    for sites in (1, 2, 3):
+        for real in (gate_realization(sites), gate_realization(sites, **GENERIC)):
+            # rand_ncpoly draws rho1 powers, odd q-powers and the empty word
+            for _ in range(12):
+                assert_matches_oracle(rand_ncpoly(rng, max_terms=6, max_len=7), real)
+            lhs = build_relation_lhs(reduced_genfun_coeffs(2), family=2)
+            assert assert_matches_oracle(lhs, real).is_zero()
+    x = NcPoly.from_word("") + NcPoly.from_word("as", LaurentPoly({1: 3, -3: -2}) * RHO1)
+    assert not assert_matches_oracle(x, gate_realization(2, **GENERIC)).is_zero()
+
+
+def count_products(monkeypatch):
+    calls = []
+    matmul = matrixrep._int_matmul
+    monkeypatch.setattr(matrixrep, "_int_matmul", lambda x, y: calls.append(1) or matmul(x, y))
+    return calls
+
+
+def test_eval_ncpoly_skips_a_coefficient_that_vanishes_at_the_point(monkeypatch):
+    real = gate_realization(2)
+    assert real.q == Fraction(9, 4)
+    vanishing = LaurentPoly({1: 4, 0: -9})  # 4 (q - 9/4)
+    live = NcPoly.from_word("sa", RHO0 ** 2) + NcPoly.from_word("saa")
+    calls = count_products(monkeypatch)
+    image = assert_matches_oracle(NcPoly.from_word("aasa", vanishing) + live, real)
+    assert image == assert_matches_oracle(live, real)
+    assert assert_matches_oracle(NcPoly.from_word("ssa", vanishing), real).is_zero()
+    # prefixes s, sa, saa, once per evaluation; none for the vanishing words
+    assert len(calls) == 2 * 3
+
+
+def test_eval_ncpoly_multiplies_each_prefix_once(monkeypatch):
+    real = gate_realization(3)
+    point = (real.q, real.rho0, real.rho1)
+    lhs = build_relation_lhs(reduced_genfun_coeffs(4), family=2)
+    prefixes = {w[:k] for w, c in lhs.terms.items() if c.eval_at(*point)
+                for k in range(1, len(w) + 1)}
+    calls = count_products(monkeypatch)
+    assert eval_ncpoly(lhs, real.A, real.Astar, *point).is_zero()
+    assert len(calls) == len(prefixes) < sum(len(w) for w in lhs.terms)
+
+
+def sabotaged_lhs(r, rng):
+    table = reduced_genfun_coeffs(r)
+    entries = dict(table.entries)
+    p = rng.randrange(r + 1)
+    j = rng.randrange(2 * (r - p) + 2)
+    entries[(p, j)] = entries[(p, j)] + rng.choice((-3, -2, -1, 1, 2, 3))
+    return build_relation_lhs(CoeffTable(r=r, route="genfun+sabotage", entries=entries))
+
+
+def test_eval_ncpoly_matches_oracle_on_sabotaged_relations():
+    rng = random.Random(44)
+    real = gate_realization(3)
+    for r in (3, 4, 5):
+        assert not assert_matches_oracle(sabotaged_lhs(r, rng), real).is_zero(), r
+
+
+def test_relations_vanish_at_r_20_on_three_sites():
+    # evidence beyond the reduction frontier (r = 9), not a proof: the
+    # realization need not be faithful
+    real = gate_realization(3)
+    table = reduced_genfun_coeffs(20)
+    for family in (1, 2):
+        lhs = build_relation_lhs(table, family=family)
+        image = eval_ncpoly(lhs, real.A, real.Astar, real.q, real.rho0, real.rho1)
+        assert image.is_zero(), family
