@@ -118,6 +118,21 @@ class _XYPoly(SparseSum):
     _key_mul = staticmethod(pair_add)
 
 
+_GENFUN_SEED = _XYPoly({(1, 0): 1, (0, 1): -1})  # x - y
+
+
+def _genfun_factor(step) -> _XYPoly:
+    """x^2 - beta_s xy + y^2 - gamma_s (x+y) - delta_s for one parameter step."""
+    factor = {(2, 0): 1, (0, 2): 1}
+    factor[(1, 1)] = -step.beta
+    if step.gamma:
+        factor[(1, 0)] = -step.gamma
+        factor[(0, 1)] = -step.gamma
+    if step.delta:
+        factor[(0, 0)] = -step.delta
+    return _XYPoly(factor)
+
+
 def genfun_polynomial(r: int, params) -> dict:
     """Expansion of (x-y) * prod_s (x^2 - beta_s xy + y^2 - gamma_s (x+y) - delta_s)
     as {(i, j): scalar} in commuting x, y.  Scalars are whatever the params carry
@@ -125,16 +140,9 @@ def genfun_polynomial(r: int, params) -> dict:
     params = list(params)
     if len(params) != r:
         raise ValueError(f"need exactly r={r} parameter steps, got {len(params)}")
-    poly = _XYPoly({(1, 0): 1, (0, 1): -1})
+    poly = _GENFUN_SEED
     for step in params:
-        factor = {(2, 0): 1, (0, 2): 1}
-        factor[(1, 1)] = -step.beta
-        if step.gamma:
-            factor[(1, 0)] = -step.gamma
-            factor[(0, 1)] = -step.gamma
-        if step.delta:
-            factor[(0, 0)] = -step.delta
-        poly = poly * _XYPoly(factor)
+        poly = poly * _genfun_factor(step)
     return poly.terms
 
 
@@ -163,7 +171,12 @@ def reduced_genfun_coeffs(r: int) -> CoeffTable:
     """Fill the c-table from the reduced generating polynomial (rho0 formal)."""
     if r < 1:
         raise ValueError("need r >= 1")
-    poly = genfun_polynomial(r, [reduced_tridiagonal_params(s) for s in range(1, r + 1)])
+    return _reduced_table(
+        r, genfun_polynomial(r, [reduced_tridiagonal_params(s) for s in range(1, r + 1)]))
+
+
+def _reduced_table(r: int, poly: dict) -> CoeffTable:
+    """The c-table of the reduced generating polynomial's expansion at this r."""
     entries = {}
     for (i, j), value in poly.items():
         value = RingElement._coerce(value)
@@ -450,10 +463,33 @@ def recursion_coeffs(r_max: int) -> list[CoeffTable]:
     """Tables for r = 1..r_max by induction from the defining relation."""
     if r_max < 1:
         raise ValueError("need r_max >= 1")
-    tables = [seed_table()]
-    while len(tables) < r_max:
-        tables.append(advance_table(tables[-1]))
-    return tables
+    return list(coeff_tables(r_max, "recursion"))
+
+
+def coeff_tables(r_max: int, route: str = "genfun"):
+    """Yield the tables for r = 1..r_max of one route, in order.
+
+    The genfun route multiplies one running product by one factor per r, and
+    the recursion route advances one table per r, so the whole run costs
+    about as much as its last table; the other routes build each table on its
+    own.  Only the current product or table is kept; r_max < 1 yields nothing.
+    """
+    if r_max < 1:
+        return
+    if route == "genfun":
+        poly = _GENFUN_SEED
+        for r in range(1, r_max + 1):
+            poly = poly * _genfun_factor(reduced_tridiagonal_params(r))
+            yield _reduced_table(r, poly.terms)
+    elif route == "recursion":
+        table = seed_table()
+        yield table
+        for _ in range(r_max - 1):
+            table = advance_table(table)
+            yield table
+    else:
+        for r in range(1, r_max + 1):
+            yield coeff_table(r, route)
 
 
 def coeff_table(r: int, route: str = "genfun") -> CoeffTable:

@@ -54,6 +54,9 @@ polynomial in X = q^2.  ``normal_form_with_stats`` packs such input:
 5. each final int is read in balanced base-2^K digits back into a
    RingElement.
 
+Packing and unpacking go through ``exactring.pack_poly`` and
+``unpack_poly``, the codec of ``LaurentPoly``'s packed product.
+
 Why K suffices.  Each word's expansion is fixed (leftmost block, fixed
 memo), so the reduction is a tree of paths, and every live coefficient, at
 any moment of the packed pass, is a signed sum of distinct path products
@@ -77,7 +80,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exactring import LaurentPoly, RingElement
+from .exactring import LaurentPoly, RingElement, pack_poly, unpack_poly
 from .freealg import GEN_A, GEN_ASTAR, NcPoly, word_key, word_string
 from .qnumbers import qint
 
@@ -238,7 +241,7 @@ def _packed_view(width: int):
                     if poly is None:
                         raise AssertionError(
                             f"memo coefficient of {mw!r} in NF(A^{n} A*) is not graded")
-                    head.append((mw, _pack(poly, width, n - measure(mw)[1]),
+                    head.append((mw, pack_poly(poly, width, n - measure(mw)[1]),
                                  n - mw.count(GEN_A)))
             pairs = shifted[(n, s)] = [(mw, v << (width * d * s)) for mw, v, d in head]
         return pairs
@@ -255,35 +258,6 @@ def _x_poly(w: str, c: RingElement, degree: int):
     if e1 or len(w) + 2 * e0 != degree or any(e & 1 for e in p.terms):
         return None
     return {e >> 1: v for e, v in p.terms.items()}
-
-
-def _pack(poly: dict, width: int, offset: int) -> int:
-    """poly times X^offset, evaluated at X = 2^width."""
-    out = 0
-    for e, v in poly.items():
-        if e + offset < 0:
-            raise AssertionError(f"negative X exponent {e + offset} in a packed coefficient")
-        out += v << (width * (e + offset))
-    return out
-
-
-def _unpack(value: int, width: int) -> dict:
-    """The balanced base-2^width digits of value, {position: digit != 0};
-    each digit must lie below 2^(width-2) in absolute value."""
-    digits = {}
-    mask, half, limit = (1 << width) - 1, 1 << (width - 1), 1 << (width - 2)
-    i = 0
-    while value:
-        d = value & mask
-        if d >= half:
-            d -= 1 << width
-        if not -limit < d < limit:
-            raise AssertionError(f"packed digit {d} reaches 2^{width - 2}")
-        if d:
-            digits[i] = d
-        value = (value - d) >> width
-        i += 1
-    return digits
 
 
 @dataclass
@@ -413,12 +387,11 @@ def normal_form_with_stats(x: NcPoly):
     bits = max(majorant.values()).bit_length()
     width = bits + 2
     trace = ReductionTrace(width_bits=width, majorant_bits=bits)
-    packed = _normalize({w: _pack(p, width, shift - inv[w]) for w, p in polys.items()},
+    packed = _normalize({w: pack_poly(p, width, shift - inv[w]) for w, p in polys.items()},
                         _packed_view(width), trace)
     terms = {}
     for w, value in packed.items():
-        base = measure(w)[1] - shift
-        coeff = LaurentPoly({2 * (i + base): d for i, d in _unpack(value, width).items()})
+        coeff = LaurentPoly(unpack_poly(value, width, 2 * (measure(w)[1] - shift), 2))
         terms[w] = RingElement({((degree - len(w)) // 2, 0): coeff})
     trace.final = NcPoly(terms)
     return trace.final, trace

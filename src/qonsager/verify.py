@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .exactring import RingElement
 from .freealg import GEN_A, GEN_ASTAR, NcPoly
-from .coefficients import CoeffTable, coeff_table, recursion_coeffs
+from .coefficients import CoeffTable, coeff_table, coeff_tables
 from .rewrite import normal_form_with_stats
 
 
@@ -163,25 +163,17 @@ def cross_check_routes(r_max: int, include_literal: bool = False) -> CrossCheckR
     if r_max < 1:
         raise ValueError("need r_max >= 1")
     routes = ["genfun", "recursion", "closed"] + (["closed-literal"] if include_literal else [])
-    recursion_tables = recursion_coeffs(r_max)
     checked = 0
-    for r in range(1, r_max + 1):
-        tables = {}
-        for route in routes:
-            if route == "recursion":
-                tables[route] = recursion_tables[r - 1]
-            else:
-                tables[route] = coeff_table(r, route)
-        reference = tables[routes[0]]
-        for route in routes[1:]:
-            mm = reference.first_mismatch(tables[route])
+    for reference, *others in zip(*(coeff_tables(r_max, route) for route in routes)):
+        for route, table in zip(routes[1:], others):
+            mm = reference.first_mismatch(table)
             checked += 1
             if mm is not None:
                 p, j, va, vb = mm
                 return CrossCheckReport(
                     r_max=r_max, routes=tuple(routes), equal=False,
                     first_mismatch=RouteMismatch(
-                        r=r, p=p, j=j, route_a=routes[0], route_b=route,
+                        r=reference.r, p=p, j=j, route_a=routes[0], route_b=route,
                         value_a=va.to_string(), value_b=vb.to_string()),
                     checked_entries=checked)
     return CrossCheckReport(r_max=r_max, routes=tuple(routes), equal=True,

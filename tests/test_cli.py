@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,13 +8,20 @@ import time
 import pytest
 
 import qonsager
-from qonsager import ExactDivisionError, normal_form, parse_expression, power_astar_expansion
+from qonsager import (
+    ExactDivisionError,
+    coeff_table,
+    normal_form,
+    parse_expression,
+    power_astar_expansion,
+)
 from qonsager.cli import (
     EXIT_GATE,
     EXIT_INTEGRITY,
     EXIT_OK,
     EXIT_RELATION,
     EXIT_USAGE,
+    _FORMATTERS,
     build_parser,
     main,
 )
@@ -23,6 +31,22 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# SHA-256 of qonsager coeffs --r 20 --route genfun --format json|csv|latex.
+# r = 20 has the widest coefficients the command line admits, so a packing
+# width that is too short shows here first.
+R20_EXPORT_DIGESTS = {
+    "json": "3cb196f0f47bcdbf4ad7b990aaa64f3dae9c9f8fe46ff51f6e86a203945c0346",
+    "csv": "e32273027a44d112a73152dd63fc5e6a030501ac25f3ab34f1973723f474321b",
+    "latex": "63c32fd059efaec7d671e0a1b5a0ae1bb66339457d23e02c69ed890e7b0642af",
+}
+
+
+def test_r20_exports_are_pinned():
+    table = coeff_table(20, "genfun")
+    for fmt, digest in R20_EXPORT_DIGESTS.items():
+        assert hashlib.sha256(_FORMATTERS[fmt](table).encode()).hexdigest() == digest, fmt
 
 
 def test_coeffs_json_schema(capsys):

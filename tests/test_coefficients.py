@@ -15,6 +15,7 @@ from qonsager import (
     closedform_coeff,
     closedform_table,
     coeff_table,
+    coeff_tables,
     genfun_coeffs,
     lusztig_coeffs,
     normal_form,
@@ -27,6 +28,7 @@ from qonsager import (
     reduced_tridiagonal_params,
 )
 from qonsager.coefficients import (
+    ROUTES,
     RecursionTables,
     advance_table,
     qbinom_product_coeffs,
@@ -205,6 +207,16 @@ def test_route_agreement_to_r5():
         g = reduced_genfun_coeffs(r)
         assert recursion[r - 1].same_entries(g), r
         assert closedform_table(r).same_entries(g), r
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_coeff_tables_yield_the_tables_of_each_r_in_order(route):
+    tables = list(coeff_tables(6, route))
+    assert [t.r for t in tables] == [1, 2, 3, 4, 5, 6]
+    for table in tables:
+        assert table.route == route
+        assert table.same_entries(coeff_table(table.r, route)), table.r
+    assert list(coeff_tables(0, route)) == []
 
 
 def test_symmetry_and_structural_properties_to_r8():

@@ -1,8 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import qonsager
 from qonsager import (
     A,
     ExactDivisionError,
@@ -14,6 +18,7 @@ from qonsager import (
     parse_laurent,
     qint,
 )
+from qonsager.exactring import _SCHOOLBOOK_PAIRS, pack_poly, pair_add, unpack_poly
 from conftest import rand_laurent, rand_ring
 
 Q = LaurentPoly.q_power
@@ -219,3 +224,116 @@ _THREE = LaurentPoly({0: 3})
 def test_mixed_type_arithmetic(value, expected):
     assert type(value) is type(expected)
     assert value == expected
+
+
+def schoolbook(a, b):
+    """The reference product: every pair of terms multiplied, equal exponents
+    collected."""
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return LaurentPoly(out)
+
+
+def rand_strided(rng, terms, stride, bits):
+    """About ``terms`` terms on exponents low + stride k, low of either sign,
+    coefficients of up to ``bits`` bits in both signs."""
+    low = rng.randint(-40, 40)
+    return LaurentPoly({low + stride * rng.randrange(2 * terms):
+                        rng.choice((1, -1)) * rng.randint(1, 1 << bits)
+                        for _ in range(terms)})
+
+
+def test_packed_product_matches_the_schoolbook_oracle():
+    rng = random.Random(11)
+    paths = set()
+    for _ in range(400):
+        stride = rng.choice((1, 2, 3))
+        bits = rng.choice((1, 4, 20, 40, 62, 100, 5000))
+        a = rand_strided(rng, rng.randint(1, 40), stride, bits)
+        b = rand_strided(rng, rng.randint(1, 40), rng.choice((stride, 1)), rng.choice((1, bits)))
+        pairs = len(a.terms) * len(b.terms)
+        paths.add(pairs >= _SCHOOLBOOK_PAIRS and min(len(a.terms), len(b.terms)) > 1)
+        assert a * b == schoolbook(a, b) == b * a, (a, b)
+    assert paths == {True, False}
+    # many terms over a wide exponent span stay term-wise; same product
+    sparse = LaurentPoly({1000 * k: k + 1 for k in range(12)} | {1: -1})
+    assert sparse * sparse == schoolbook(sparse, sparse)
+
+
+def test_packed_product_where_coefficients_cancel():
+    for stride in (1, 2, 3):
+        q = LaurentPoly.q_power(stride)
+        run = sum((q ** k for k in range(80)), LaurentPoly.zero())
+        # (1 - X)(1 + X + ... + X^79) = 1 - X^80: every inner coefficient cancels
+        assert (1 - q) * run == schoolbook(1 - q, run) == 1 - q ** 80
+        big = (1 << 5000) * run * LaurentPoly.q_power(-7)
+        assert big * (q - 1) == schoolbook(big, q - 1)
+        assert big * run - run * big == 0
+        assert (big - big) * run == 0
+
+
+def test_packed_product_at_its_tight_bound():
+    # M (1 + q + ... + q^(n-1)) squared has middle coefficient n M^2, the
+    # width bound itself; n = 8 and 16 give widths of every parity, so some
+    # M puts the width just past 8, 16, 32 and 64 bits, where a width one bit
+    # short is a narrower word
+    for n in (8, 16):
+        run = sum((LaurentPoly.q_power(k) for k in range(n)), LaurentPoly.zero())
+        for m in [1 << k for k in range(100)] + [(1 << k) - 1 for k in range(2, 100)] + [
+                (1 << 2500) - 1, -(1 << 2500)]:
+            a = m * run
+            square = a * a
+            assert square.terms[n - 1] == n * m * m
+            assert square == schoolbook(a, a), (n, m)
+            assert a * -a == -square
+
+
+def test_ring_products_over_packed_coefficients_are_unchanged():
+    rng = random.Random(12)
+    for _ in range(40):
+        x, y = (RingElement({(rng.randint(0, 2), rng.randint(0, 2)):
+                             rand_strided(rng, rng.randint(1, 30), 2, rng.choice((3, 70, 5000)))
+                             for _ in range(3)}) for _ in range(2))
+        expected = {}
+        for k1, p1 in x.terms.items():
+            for k2, p2 in y.terms.items():
+                key = pair_add(k1, k2)
+                expected[key] = expected.get(key, LaurentPoly.zero()) + schoolbook(p1, p2)
+        assert x * y == RingElement(expected)
+
+
+@pytest.mark.parametrize("width", [8, 16, 32, 64, 3, 7, 39, 70, 200])
+def test_packing_round_trips_at_word_and_other_widths(width):
+    rng = random.Random(width)
+    limit = 1 << (width - 2)
+    for _ in range(50):
+        stride = rng.choice((1, 2, 3))
+        offset = rng.randint(0, 5) * stride
+        poly = {stride * rng.randint(0, 30): rng.randint(1 - limit, limit - 1)
+                for _ in range(rng.randint(1, 20))}
+        poly = {e: c for e, c in poly.items() if c}
+        value = pack_poly(poly, width, offset, stride)
+        assert value == sum(c << (width * ((e + offset) // stride)) for e, c in poly.items())
+        assert unpack_poly(value, width, -offset, stride) == poly
+    for bad in (limit, -limit, 2 * limit - 1, -2 * limit):
+        with pytest.raises(AssertionError, match="reaches"):
+            unpack_poly((bad << width * 3) + 1, width)
+    with pytest.raises(AssertionError, match="bits"):
+        pack_poly({0: 1 << width}, width)
+
+
+def test_codec_checks_survive_optimized_mode():
+    script = ("from qonsager.exactring import pack_poly, unpack_poly\n"
+              "for call in (lambda: unpack_poly(64, 8), lambda: unpack_poly(1 << 37, 39),\n"
+              "             lambda: pack_poly({0: 1 << 70}, 64), lambda: pack_poly({0: 1 << 70}, 39)):\n"
+              "    try:\n"
+              "        call()\n"
+              "    except AssertionError:\n"
+              "        continue\n"
+              "    raise SystemExit('no AssertionError')\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qonsager.__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

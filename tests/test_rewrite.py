@@ -26,7 +26,8 @@ from qonsager import (
 )
 import qonsager.verify
 from qonsager.cli import TEST_HOOKS_ENV, main
-from qonsager.rewrite import _apply_rule_at, _pack, _unpack, is_normal
+from qonsager.exactring import pack_poly, unpack_poly
+from qonsager.rewrite import _apply_rule_at, is_normal
 from conftest import rand_word
 
 ALPHA = RingElement.from_laurent(qint(3))
@@ -303,15 +304,15 @@ def test_packed_width_is_pinned():
 
 
 def test_packing_checks_raise_outright():
-    assert _pack({0: 1, 2: -3}, 8, 1) == (1 << 8) - (3 << 24)
-    assert _unpack((1 << 8) - (3 << 24), 8) == {1: 1, 3: -3}
+    assert pack_poly({0: 1, 2: -3}, 8, 1) == (1 << 8) - (3 << 24)
+    assert unpack_poly((1 << 8) - (3 << 24), 8) == {1: 1, 3: -3}
     with pytest.raises(AssertionError, match="negative X exponent"):
-        _pack({0: 1, 2: -3}, 8, -1)
-    assert _unpack(-63, 8) == {0: -63}
+        pack_poly({0: 1, 2: -3}, 8, -1)
+    assert unpack_poly(-63, 8) == {0: -63}
     with pytest.raises(AssertionError, match="reaches"):
-        _unpack(64, 8)
+        unpack_poly(64, 8)
     with pytest.raises(AssertionError, match="reaches"):
-        _unpack((-64) << 16, 8)
+        unpack_poly((-64) << 16, 8)
 
 
 def verify_lines(capsys, *argv):
