@@ -22,10 +22,10 @@ identity that explains the specialization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 
-from .exactring import LaurentPoly, RingElement, SparseSum, pair_add
+from .exactring import (_SCHOOLBOOK_PAIRS, LaurentPoly, ProductSum, RingElement, SparseSum,
+                        pair_add, sums_of_products)
 from .qnumbers import beta_s, qbinomial, qint, reduced_tridiagonal_params
 from .rewrite import ETA
 
@@ -109,13 +109,72 @@ def lusztig_coeffs(r: int) -> CoeffTable:
 # ---------------------------------------------------------------------------
 
 
+def _q_terms(coeff) -> int:
+    """The number of q-terms of an _XYPoly coefficient; 1 for a scalar that
+    is not a LaurentPoly or a RingElement."""
+    if isinstance(coeff, RingElement):
+        return sum([len(p.terms) for p in coeff.terms.values()])
+    return len(coeff.terms) if isinstance(coeff, LaurentPoly) else 1
+
+
+def _rho_parts(coeff):
+    """An _XYPoly coefficient as its rank (0 int, 1 LaurentPoly, 2
+    RingElement) and its [(rho key, weight, factors)]; None for any other
+    scalar."""
+    if isinstance(coeff, int):
+        return 0, [((0, 0), coeff, ())]
+    if isinstance(coeff, LaurentPoly):
+        return 1, [((0, 0), 1, (coeff,))]
+    if isinstance(coeff, RingElement):
+        return 2, [(rho, 1, (p,)) for rho, p in coeff.terms.items()]
+    return None
+
+
 class _XYPoly(SparseSum):
     """Polynomial in two commuting variables, {(i, j): scalar}; scalars are
-    LaurentPolys, RingElements or Fractions."""
+    ints, LaurentPolys, RingElements or Fractions."""
 
     __slots__ = ()
     _unit = (0, 0)
     _key_mul = staticmethod(pair_add)
+
+    def __mul__(self, other):
+        # over int, LaurentPoly and RingElement coefficients each (x, y key,
+        # rho key) of the product is one sum of a single sums_of_products; a
+        # product that meets any other scalar, or none of whose sums can
+        # reach the term pairs that packing needs, takes the generic product
+        if not isinstance(other, _XYPoly):
+            return super().__mul__(other)
+        left = list(map(_q_terms, self.terms.values()))
+        right = list(map(_q_terms, other.terms.values()))
+        # a sum pairs each left coefficient with at most one right one
+        if min(max(left, default=0) * sum(right),
+               sum(left) * max(right, default=0)) < _SCHOOLBOOK_PAIRS:
+            return super().__mul__(other)
+        left = [(k, _rho_parts(c)) for k, c in self.terms.items()]
+        right = [(k, _rho_parts(c)) for k, c in other.terms.items()]
+        if any(parts is None for _, parts in left + right):
+            return super().__mul__(other)
+        ranks = {}  # (x, y key) -> rank of its coefficient
+        sums = {}   # (x, y key, rho key) -> products
+        for (i1, j1), (rank1, parts1) in left:
+            for (i2, j2), (rank2, parts2) in right:
+                key = (i1 + i2, j1 + j2)
+                ranks[key] = max(ranks.get(key, 0), rank1, rank2)
+                for rho1, k1, f1 in parts1:
+                    for rho2, k2, f2 in parts2:
+                        sums.setdefault((key, pair_add(rho1, rho2)), []).append((k1 * k2, f1 + f2))
+        values = {key: {} for key in ranks}
+        for (key, rho), value in zip(sums, sums_of_products(sums.values())):
+            if value:
+                values[key][rho] = LaurentPoly._wrap(value)
+        out = {}
+        for key, rank in ranks.items():
+            parts = values[key]
+            if parts:
+                out[key] = (parts[(0, 0)].terms[0] if rank == 0 else
+                            parts[(0, 0)] if rank == 1 else RingElement._wrap(parts))
+        return _XYPoly._wrap(out)
 
 
 _GENFUN_SEED = _XYPoly({(1, 0): 1, (0, 1): -1})  # x - y
@@ -198,14 +257,20 @@ def _reduced_table(r: int, poly: dict) -> CoeffTable:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+_FAMILY_SEED = _XYPoly({(0, 0): LaurentPoly.one()})
+
+
+def _family_factor(s: int) -> _XYPoly:
+    """1 + u [s]^2_{q^2} + v beta_s, the closed route's factor for one s."""
+    return _XYPoly({(0, 0): LaurentPoly.one(), (1, 0): qint(s, base=2) ** 2, (0, 1): beta_s(s)})
+
+
 def _family_sums(r: int) -> dict:
     """{(p, k): u^p v^k coefficient of prod_{s<=r} (1 + u [s]^2_{q^2} + v beta_s)}, the
     sums over disjoint families of p squared q^2-integers and k beta factors."""
-    sums = _XYPoly({(0, 0): LaurentPoly.one()})
+    sums = _FAMILY_SEED
     for s in range(1, r + 1):
-        sums = sums * _XYPoly({(0, 0): LaurentPoly.one(), (1, 0): qint(s, base=2) ** 2,
-                               (0, 1): beta_s(s)})
+        sums = sums * _family_factor(s)
     return sums.terms
 
 
@@ -218,7 +283,11 @@ def closedform_coeff(r: int, p: int, j: int, literal: bool = False) -> LaurentPo
         raise ValueError(f"need 0 <= p <= r, got p={p}, r={r}")
     if not (0 <= j <= r - p):
         raise ValueError(f"closed form covers j <= r-p; use symmetry for j={j}")
-    sums = _family_sums(r)
+    return _closed_coeff(r, p, j, literal, _family_sums(r))
+
+
+def _closed_coeff(r: int, p: int, j: int, literal: bool, sums: dict) -> LaurentPoly:
+    """``closedform_coeff`` over ``sums``, which is ``_family_sums(r)``."""
     total = LaurentPoly.zero()
     for k in range(j + 1):
         n_bin = (r - p) if literal else (r - p - k)
@@ -229,11 +298,16 @@ def closedform_coeff(r: int, p: int, j: int, literal: bool = False) -> LaurentPo
 def closedform_table(r: int, literal: bool = False) -> CoeffTable:
     if r < 1:
         raise ValueError("need r >= 1")
+    return _closed_table(r, literal, _family_sums(r))
+
+
+def _closed_table(r: int, literal: bool, sums: dict) -> CoeffTable:
+    """``closedform_table`` over ``sums``, which is ``_family_sums(r)``."""
     entries = {}
     for p in range(r + 1):
         width = 2 * (r - p) + 1
         for j in range(r - p + 1):
-            entries[(p, j)] = closedform_coeff(r, p, j, literal=literal)
+            entries[(p, j)] = _closed_coeff(r, p, j, literal, sums)
         for j in range(r - p + 1, width + 1):
             entries[(p, j)] = entries[(p, width - j)]
     # symmetry is imposed by the mirror fill for both weights; the literal
@@ -256,10 +330,15 @@ class RecursionTables:
     """
 
     def __init__(self, table: CoeffTable):
+        # every entry is one sum over the level-r entries, all evaluated in
+        # one sums_of_products
         self.r = r = table.r
-        c = table.entry
+
+        def c(p, j):
+            return ProductSum.of(table.entry(p, j))
+
         c1 = c(0, 1)
-        c11_2 = c1 * c1 - c(0, 2)
+        c11_2 = ProductSum.of(ProductSum.evaluate_all([c1 * c1 - c(0, 2)])[0])
         m: dict = {}
         n: dict = {}
         for j in range(2, 2 * r + 2):
@@ -275,7 +354,7 @@ class RecursionTables:
             n[(0, j)] = c(0, j) - c1 * c(0, j - 1) + c11_2 * c(0, j - 2)
         n[(0, 2 * r + 2)] = -c1 * c(0, 2 * r + 1) + c11_2 * c(0, 2 * r)
         n[(0, 2 * r + 3)] = c11_2 * c(0, 2 * r + 1)
-        n[(1, 0)] = LaurentPoly.zero()
+        n[(1, 0)] = ProductSum()
         n[(1, 1)] = c(1, 1) - 2 * c1 * c(1, 0)
         for j in range(2, 2 * r):
             n[(1, j)] = c11_2 * c(1, j - 2) - c1 * c(1, j - 1) + c(1, j) - c(1, 0) * c(0, j)
@@ -293,8 +372,9 @@ class RecursionTables:
             n[(p, width + 2)] = c11_2 * c(p, width) - c(1, 0) * c(p - 1, width + 2)
         n[(r + 1, 0)] = -c(1, 0) * c(r, 0)
         n[(r + 1, 1)] = -c(1, 0) * c(r, 1)
-        self._m = m
-        self._n = n
+        values = iter(ProductSum.evaluate_all([*m.values(), *n.values()]))
+        self._m = {key: next(values) for key in m}
+        self._n = {key: next(values) for key in n}
 
     def m(self, p: int, j: int) -> LaurentPoly:
         return self._m.get((p, j), LaurentPoly.zero())
@@ -327,7 +407,6 @@ def advance_table(table: CoeffTable) -> CoeffTable:
     result is asserted, which cross-validates the overlapping families.
     """
     r = table.r
-    c = table.get
     mn = RecursionTables(table)
     new: dict = {}
 
@@ -345,29 +424,42 @@ def advance_table(table: CoeffTable) -> CoeffTable:
            + 2 * table.entry(1, 0))
     new[(1, 0)] = c01
 
+    # the formulas below run over deferred sums of the level-r entries, M, N,
+    # the new leading entries and the eta values; put records each one, and
+    # all of them are evaluated in one sums_of_products at the end
+    leaf = ProductSum.of
+    c1_new, c2_new, c01 = leaf(c1_new), leaf(c2_new), leaf(c01)
+
+    def c(p, j):
+        return leaf(table.get(p, j))
+
+    def m(p, j):
+        return leaf(mn.m(p, j))
+
+    def n(p, j):
+        return leaf(mn.n(p, j))
+
+    puts = []
+
     def put(p, j, value):
-        old = new.get((p, j))
-        if old is not None and old != value:
-            raise AssertionError(
-                f"recursion inconsistency at r={r + 1} (p={p}, j={j})")
-        new[(p, j)] = value
+        puts.append(((p, j), value))
 
     # j = 0 column
     for p in range(2, r + 1):
-        put(p, 0, mn.n(p, 0) + c01 * c(p - 1, 0))
-    put(r + 1, 0, c01 * c(r, 0) + mn.n(r + 1, 0))
+        put(p, 0, n(p, 0) + c01 * c(p - 1, 0))
+    put(r + 1, 0, c01 * c(r, 0) + n(r + 1, 0))
 
     # j = 1 column
     for p in range(1, r + 1):
-        val = c1_new * mn.m(p, 0)
+        val = c1_new * m(p, 0)
         for i in range(p):
-            val = val + _sgn(i + p + 1) * mn.n(i, 2 * (p - i) + 1)
+            val = val + _sgn(i + p + 1) * n(i, 2 * (p - i) + 1)
         for i in range(p - 1):
             val = val + _sgn(i + p) * c01 * c(i, 2 * (p - i) - 1)
         put(p, 1, val)
-    val = LaurentPoly.zero()
+    val = ProductSum()
     for i in range(r + 1):
-        val = val + _sgn(r + i) * mn.n(i, 2 * (r - i) + 3)
+        val = val + _sgn(r + i) * n(i, 2 * (r - i) + 3)
     for i in range(r):
         val = val + _sgn(r + i + 1) * c01 * c(i, 2 * (r - i) + 1)
     put(r + 1, 1, val)
@@ -376,29 +468,29 @@ def advance_table(table: CoeffTable) -> CoeffTable:
     for p in range(1, r + 1):
         val = c2_new * c(p, 0)
         for i in range(p):
-            val = val + _sgn(i + p) * mn.n(i, 2 * (p - i) + 2) * _eta2(2 * (p - i) + 2, 0)
-            val = val + _sgn(i + p + 1) * c1_new * mn.m(i, 2 * (p - i) + 1)
+            val = val + _sgn(i + p) * n(i, 2 * (p - i) + 2) * _eta2(2 * (p - i) + 2, 0)
+            val = val + _sgn(i + p + 1) * c1_new * m(i, 2 * (p - i) + 1)
         for i in range(p - 1):
             val = val + _sgn(i + p + 1) * c01 * c(i, 2 * (p - i)) * _eta2(2 * (p - i), 0)
         put(p, 2, val)
 
     # j = 3 column
     for p in range(1, r + 1):
-        val = LaurentPoly.zero()
+        val = ProductSum()
         for i in range(p + 1):
-            val = val + _sgn(i + p) * mn.n(i, 2 * (p - i) + 3) * _eta2(2 * (p - i) + 3, 1)
+            val = val + _sgn(i + p) * n(i, 2 * (p - i) + 3) * _eta2(2 * (p - i) + 3, 1)
         for i in range(p):
-            val = val + _sgn(i + p) * c1_new * mn.m(i, 2 * (p - i) + 2) * _eta2(2 * (p - i) + 2, 0)
+            val = val + _sgn(i + p) * c1_new * m(i, 2 * (p - i) + 2) * _eta2(2 * (p - i) + 2, 0)
             val = val + _sgn(i + p + 1) * c2_new * c(i, 2 * (p - i) + 1)
             val = val + _sgn(i + p + 1) * c01 * c(i, 2 * (p - i) + 1) * _eta2(2 * (p - i) + 1, 1)
         put(p, 3, val)
 
     # j = 4 column
     for p in range(1, r):
-        val = LaurentPoly.zero()
+        val = ProductSum()
         for i in range(p + 1):
-            val = val + _sgn(i + p) * mn.n(i, 2 * (p - i) + 4) * _eta2(2 * (p - i) + 4, 1)
-            val = val + _sgn(i + p) * c1_new * mn.m(i, 2 * (p - i) + 3) * _eta2(2 * (p - i) + 3, 1)
+            val = val + _sgn(i + p) * n(i, 2 * (p - i) + 4) * _eta2(2 * (p - i) + 4, 1)
+            val = val + _sgn(i + p) * c1_new * m(i, 2 * (p - i) + 3) * _eta2(2 * (p - i) + 3, 1)
         for i in range(p):
             val = val + _sgn(i + p) * c2_new * c(i, 2 * (p - i) + 2) * _eta2(2 * (p - i) + 2, 0)
             val = val + _sgn(i + p + 1) * c01 * c(i, 2 * (p - i) + 2) * _eta2(2 * (p - i) + 2, 1)
@@ -410,11 +502,11 @@ def advance_table(table: CoeffTable) -> CoeffTable:
     for jj in range(3, r + 1):
         for k in range(1, jj - 1):
             p = jj - k
-            val = LaurentPoly.zero()
+            val = ProductSum()
             for i in range(jj - k + 1):
                 sgn = _sgn(i + jj + k)
-                val = val + sgn * mn.n(i, 2 * (jj - i) + 3) * _eta2(2 * (jj - i) + 3, k + 1)
-                val = val + sgn * c1_new * mn.m(i, 2 * (jj - i) + 2) * _eta2(2 * (jj - i) + 2, k)
+                val = val + sgn * n(i, 2 * (jj - i) + 3) * _eta2(2 * (jj - i) + 3, k + 1)
+                val = val + sgn * c1_new * m(i, 2 * (jj - i) + 2) * _eta2(2 * (jj - i) + 2, k)
                 val = val + sgn * c2_new * c(i, 2 * (jj - i) + 1) * _eta2(2 * (jj - i) + 1, k)
             for i in range(jj - k):
                 val = val + _sgn(i + jj + k + 1) * c01 * c(i, 2 * (jj - i) + 1) * _eta2(2 * (jj - i) + 1, k + 1)
@@ -422,10 +514,10 @@ def advance_table(table: CoeffTable) -> CoeffTable:
 
     # odd j >= 5, row p = 1
     for jj in range(2, r + 1):
-        val = (-(mn.n(0, 2 * jj + 3) * _eta2(2 * jj + 3, jj))
-               + mn.n(1, 2 * jj + 1) * _eta2(2 * jj + 1, jj)
-               - c1_new * (mn.m(0, 2 * jj + 2) * _eta2(2 * jj + 2, jj - 1)
-                           - mn.m(1, 2 * jj) * _eta2(2 * jj, jj - 1))
+        val = (-(n(0, 2 * jj + 3) * _eta2(2 * jj + 3, jj))
+               + n(1, 2 * jj + 1) * _eta2(2 * jj + 1, jj)
+               - c1_new * (m(0, 2 * jj + 2) * _eta2(2 * jj + 2, jj - 1)
+                           - m(1, 2 * jj) * _eta2(2 * jj, jj - 1))
                - c2_new * (c(0, 2 * jj + 1) * _eta2(2 * jj + 1, jj - 1)
                            - c(1, 2 * jj - 1) * _eta2(2 * jj - 1, jj - 1))
                + c01 * c(0, 2 * jj + 1) * _eta2(2 * jj + 1, jj))
@@ -435,11 +527,11 @@ def advance_table(table: CoeffTable) -> CoeffTable:
     for jj in range(4, r + 1):
         for k in range(2, jj - 1):
             p = jj - k
-            val = LaurentPoly.zero()
+            val = ProductSum()
             for i in range(jj - k + 1):
                 sgn = _sgn(i + jj + k)
-                val = val + sgn * mn.n(i, 2 * (jj - i) + 2) * _eta2(2 * (jj - i) + 2, k)
-                val = val + sgn * c1_new * mn.m(i, 2 * (jj - i) + 1) * _eta2(2 * (jj - i) + 1, k)
+                val = val + sgn * n(i, 2 * (jj - i) + 2) * _eta2(2 * (jj - i) + 2, k)
+                val = val + sgn * c1_new * m(i, 2 * (jj - i) + 1) * _eta2(2 * (jj - i) + 1, k)
                 val = val + sgn * c2_new * c(i, 2 * (jj - i)) * _eta2(2 * (jj - i), k - 1)
             for i in range(jj - k):
                 val = val + _sgn(i + jj + k + 1) * c01 * c(i, 2 * (jj - i)) * _eta2(2 * (jj - i), k)
@@ -448,14 +540,20 @@ def advance_table(table: CoeffTable) -> CoeffTable:
     # even j >= 6, row p = 1
     for jj in range(3, r + 1):
         val = (c01 * c(0, 2 * jj) * _eta2(2 * jj, jj - 1)
-               - mn.n(0, 2 * jj + 2) * _eta2(2 * jj + 2, jj - 1)
-               + mn.n(1, 2 * jj) * _eta2(2 * jj, jj - 1)
-               - c1_new * (mn.m(0, 2 * jj + 1) * _eta2(2 * jj + 1, jj - 1)
-                           - mn.m(1, 2 * jj - 1) * _eta2(2 * jj - 1, jj - 1))
+               - n(0, 2 * jj + 2) * _eta2(2 * jj + 2, jj - 1)
+               + n(1, 2 * jj) * _eta2(2 * jj, jj - 1)
+               - c1_new * (m(0, 2 * jj + 1) * _eta2(2 * jj + 1, jj - 1)
+                           - m(1, 2 * jj - 1) * _eta2(2 * jj - 1, jj - 1))
                - c2_new * (c(0, 2 * jj) * _eta2(2 * jj, jj - 2)
                            - c(1, 2 * jj - 2) * _eta2(2 * jj - 2, jj - 2)))
         put(1, 2 * jj, val)
 
+    for ((p, j), _), value in zip(puts, ProductSum.evaluate_all([v for _, v in puts])):
+        old = new.get((p, j))
+        if old is not None and old != value:
+            raise AssertionError(
+                f"recursion inconsistency at r={r + 1} (p={p}, j={j})")
+        new[(p, j)] = value
     return CoeffTable(r=r + 1, route="recursion", entries=new).check()
 
 
@@ -469,10 +567,11 @@ def recursion_coeffs(r_max: int) -> list[CoeffTable]:
 def coeff_tables(r_max: int, route: str = "genfun"):
     """Yield the tables for r = 1..r_max of one route, in order.
 
-    The genfun route multiplies one running product by one factor per r, and
-    the recursion route advances one table per r, so the whole run costs
-    about as much as its last table; the other routes build each table on its
-    own.  Only the current product or table is kept; r_max < 1 yields nothing.
+    The genfun and closed routes multiply one running product by one factor
+    per r, and the recursion route advances one table per r, so the whole run
+    costs about as much as its last table; the Lusztig route builds each
+    table on its own.  Only the current product or table is kept; r_max < 1
+    yields nothing.
     """
     if r_max < 1:
         return
@@ -481,6 +580,11 @@ def coeff_tables(r_max: int, route: str = "genfun"):
         for r in range(1, r_max + 1):
             poly = poly * _genfun_factor(reduced_tridiagonal_params(r))
             yield _reduced_table(r, poly.terms)
+    elif route in ("closed", "closed-literal"):
+        sums = _FAMILY_SEED
+        for r in range(1, r_max + 1):
+            sums = sums * _family_factor(r)
+            yield _closed_table(r, route == "closed-literal", sums.terms)
     elif route == "recursion":
         table = seed_table()
         yield table

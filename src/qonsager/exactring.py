@@ -18,31 +18,48 @@ Everything is immutable after construction and kept in canonical sparse form,
 so equality is exact coefficient-wise comparison and values can be shared
 freely.
 
-``LaurentPoly.__mul__`` is the only arithmetic override, and it has two
-paths.  Below ``_SCHOOLBOOK_PAIRS`` term pairs, with a one-term operand, or
-when the product would span more slots than there are term pairs, it runs
-the schoolbook loop.  Otherwise it multiplies by Kronecker
-substitution: with g the gcd of the exponent gaps of both operands, each
-operand is read as a polynomial in X = q^g from its least exponent and
-evaluated at X = 2^W (``pack_poly``), the two ints are multiplied once, and
-the balanced base-2^W digits of the product (``unpack_poly``) are its
-coefficients.
+``LaurentPoly.__mul__`` is the only arithmetic override.  An int or a
+one-term operand scales term by term, a product of fewer than
+``_SCHOOLBOOK_PAIRS`` term pairs runs the schoolbook loop, and the rest is
+the one-product case of the packed accumulator.
 
-Why W suffices.  The coefficient of X^k in the product is the sum of a_i b_j
-over i + j = k; each i pairs with at most one j, so it has at most
-min(len a, len b) terms, each at most max|a| max|b| in absolute value.  By
-the triangle inequality every product coefficient is at most
-B = min(len a, len b) max|a| max|b|, which is below 2^(K-2) for
-K = bit_length(B) + 2.  W is K, rounded up to 8, 16, 32 or 64 bits when K is
-at most 64 (the digits then move through ``array`` as machine words).  The
-balanced base-2^W digits of an int, each in [-2^(W-1), 2^(W-1)), are unique,
-so a sum of c_k 2^(Wk) with every |c_k| below 2^(W-1) has exactly the c_k as
-its digits: the digits of the packed product are the product's coefficients.
-There is no fixed width, and nothing wraps.  The same codec
-carries ``rewrite``'s packed reduction, whose width argument is in that
-module's docstring.  ``unpack_poly`` still checks every digit against
-2^(W-2) and raises ``AssertionError`` (not ``assert``, so the check stays
-under ``python -O``).
+The packed accumulator, ``sums_of_products``, computes sums
+S = sum_t k_t f_t1 ... f_tm of int-weighted products of LaurentPolys;
+``ProductSum`` collects such a sum from a formula.  One-term factors fold
+into k_t and a shift.  With g the gcd of the exponent gaps of every operand
+and of the gaps between the products' least exponents, each distinct
+operand is read as a polynomial in X = q^g from its least exponent and
+evaluated at X = 2^W once (``pack_poly``).  A product is k_t times the int
+product of its packed operands, shifted by the distance in X from S's least
+exponent to its own; the products are added as ints, and the balanced
+base-2^W digits of the total (``unpack_poly``) are the coefficients of S.
+Shifts, products and sums of ints are exact, so the total is S at X = 2^W.
+Sums evaluated in one call share W and g, so an operand they share is
+packed once.  A sum of fewer than ``_SCHOOLBOOK_PAIRS`` term pairs, or with
+at least as many slots as term pairs (a sparse operand such as
+q^(10^6) + q^(-10^6)), goes term by term instead.
+
+Why W suffices.  Write |f|_1 for the sum and |f|_inf for the largest of the
+absolute values of f's coefficients.  A coefficient of f_1 ... f_m is a sum
+of c_1 ... c_m over one term of each factor, the exponents adding up to its
+own; once the terms of every factor but f_i are chosen at most one term of
+f_i fits, so for each i the coefficient is at most
+|f_i|_inf prod_{j != i} |f_j|_1 in absolute value.  By the triangle
+inequality every coefficient of S is at most
+B = sum_t |k_t| min_i |f_ti|_inf prod_{j != i} |f_tj|_1, which also bounds
+every operand coefficient, so the operands fit their slots.  A call takes
+the largest B of its packed sums, below 2^(K-2) for K = bit_length(B) + 2.
+For a lone product a b, B = min(|a|_inf |b|_1, |a|_1 |b|_inf), never more
+than min(len a, len b) max|a| max|b|.  W is K, rounded up to 8, 16, 32 or
+64 bits when K is at most 64 (the digits then move through ``array`` as
+machine words).  The balanced base-2^W digits of an int, each in
+[-2^(W-1), 2^(W-1)), are unique, so a sum of c_k 2^(Wk) with every |c_k|
+below 2^(W-1) has exactly the c_k as its digits: the digits of the packed
+total are the coefficients of S.  There is no fixed width, and nothing
+wraps.  The same codec carries ``rewrite``'s packed reduction, whose width
+argument is in that module's docstring.  ``pack_poly`` still checks every
+slot and ``unpack_poly`` every digit against 2^(W-2), and both raise
+``AssertionError`` (not ``assert``, so the checks stay under ``python -O``).
 
 Rational numbers for matrix evaluation are ``fractions.Fraction``.
 """
@@ -67,13 +84,13 @@ def pair_add(a: tuple, b: tuple) -> tuple:
     return (a[0] + b[0], a[1] + b[1])
 
 
-# A product with fewer term pairs than this, or with a one-term operand,
-# multiplies term by term: packing costs a few conversions per term and per
-# product slot, which pays from about 64 pairs on.  On the coeffs benchmark 91%
-# of the term products sit in calls of at least 64 pairs; in reduction about
-# half the calls have a one-term operand, and packing every product made the
-# reduce benchmark's timed body a third slower (0.0147 -> 0.0195 s, 2-vCPU AMD
-# EPYC host).
+# A sum of products with fewer term pairs than this goes term by term:
+# packing costs a few conversions per operand term and per slot, which pays
+# from about 64 pairs on.  On the coeffs benchmark 91% of the term products
+# sit in products of at least 64 pairs; in reduction about half the products
+# have a one-term operand, and packing every product made the reduce
+# benchmark's timed body a third slower (0.0147 -> 0.0195 s, 2-vCPU AMD EPYC
+# host).
 _SCHOOLBOOK_PAIRS = 64
 
 # Slot widths, in bits, that move through ``array`` as machine words:
@@ -162,18 +179,170 @@ def unpack_poly(value: int, width: int, base: int = 0, stride: int = 1) -> dict:
     return out
 
 
-def _packed_product(a: dict, b: dict):
-    """The product of two {exponent: int} sums as one int product (module
-    docstring), or None when a sparse operand would pack mostly empty slots."""
-    low_a, low_b = min(a), min(b)
-    stride = gcd(*map((-low_a).__add__, a), *map((-low_b).__add__, b))
-    if (max(a) - low_a + max(b) - low_b) // stride >= len(a) * len(b):
-        return None
-    bound = min(len(a), len(b)) * max(map(abs, a.values())) * max(map(abs, b.values()))
+def _schoolbook(a: dict, b: dict) -> dict:
+    """The product of two {exponent: int} sums, term pair by term pair."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            s = out.get(e, 0) + c1 * c2
+            if s:
+                out[e] = s
+            elif e in out:
+                del out[e]
+    return out
+
+
+def _termwise_sum(rows) -> dict:
+    """The sum of k q^shift f_1 ... f_m over rows (k, shift, [f_1, ..., f_m])
+    of {exponent: int} operands, term pair by term pair."""
+    out = {}
+    for k, shift, used in rows:
+        if used:
+            prod = {shift + e: k * c for e, c in used[0].items()}
+            for t in used[1:]:
+                prod = _schoolbook(prod, t)
+        else:
+            prod = {shift: k}
+        if not out:
+            out = prod
+            continue
+        for e, c in prod.items():
+            c += out.get(e, 0)
+            if c:
+                out[e] = c
+            elif e in out:
+                del out[e]
+    return out
+
+
+def sums_of_products(sums) -> list:
+    """Each of ``sums``, an iterable of pairs (k, (f_1, ..., f_m)) of an int
+    weight and LaurentPolys, as the canonical {exponent: int} of the sum of
+    k f_1 ... f_m over its pairs (``_accumulate``); one-term factors fold
+    into the weight and a shift."""
+    plans = []
+    for products in sums:
+        rows = []
+        pairs = 0
+        for k, factors in products:
+            shift = 0
+            size = 1
+            used = []
+            for f in factors:
+                t = f.terms
+                if len(t) > 1:
+                    used.append(t)
+                    size *= len(t)
+                elif t:
+                    ((e, c),) = t.items()
+                    k *= c
+                    shift += e
+                else:
+                    break
+            else:
+                if k:
+                    rows.append((k, shift, used))
+                    pairs += size
+        plans.append((rows, pairs))
+    return _accumulate(plans)
+
+
+def _span(t: dict) -> tuple:
+    """What packing needs to know of an {exponent: int} operand: its least
+    and greatest exponent, the gcd of its exponent gaps, its 1-norm and its
+    sup norm."""
+    lo = min(t)
+    vals = t.values()
+    return lo, max(t), gcd(*map((-lo).__add__, t)), sum(map(abs, vals)), max(map(abs, vals))
+
+
+def _width(bound: int) -> int:
+    """The slot width for coefficients of at most ``bound`` (module docstring)."""
     width = bound.bit_length() + 2
-    width = next((w for w in _WORD_CODES if w >= width), width)
-    return unpack_poly(pack_poly(a, width, -low_a, stride) * pack_poly(b, width, -low_b, stride),
-                       width, low_a + low_b, stride)
+    return next((w for w in _WORD_CODES if w >= width), width)
+
+
+def _accumulate(plans) -> list:
+    """The sums of plans (rows, pairs) as canonical {exponent: int}: each row
+    (k, shift, [t_1, ..., t_m]) is k q^shift t_1 ... t_m over {exponent: int}
+    operands of two or more terms, and pairs counts the sum's term pairs.
+
+    A sum of at least ``_SCHOOLBOOK_PAIRS`` term pairs that spans fewer
+    exponent slots than it has term pairs is one packed accumulation (module
+    docstring); the packed sums share one width and one stride, so an operand
+    that several of them use is measured and packed once.  The other sums go
+    term by term.
+    """
+    # A sum's own stride is the gcd of its operands' exponent gaps and of the
+    # gaps between its products' least exponents; its bound adds, over its
+    # products, |k| times the sup norm of one operand times the 1-norms of
+    # the others, for the operand with the least sup norm per 1-norm.
+    spans = {}  # id(operand) -> _span(operand)
+    dense = []  # per sum: (least exponent per product, least, greatest, bound) or None
+    stride = 0
+    for rows, pairs in plans:
+        if pairs < _SCHOOLBOOK_PAIRS:
+            dense.append(None)
+            continue
+        lows = []
+        least = top = None
+        own = bound = 0
+        for k, low, used in rows:
+            high = low
+            one = 1
+            best = None
+            for t in used:
+                span = spans.get(id(t))
+                if span is None:
+                    span = spans[id(t)] = _span(t)
+                low += span[0]
+                high += span[1]
+                own = gcd(own, span[2])
+                one *= span[3]
+                if best is None or span[4] * best[3] < best[4] * span[3]:
+                    best = span
+            bound += abs(k) * (best[4] * (one // best[3]) if best else 1)
+            lows.append(low)
+            if least is None:
+                least, top = low, high
+            else:
+                own = gcd(own, low - least)
+                least, top = min(least, low), max(top, high)
+        own = own or 1
+        if (top - least) // own < pairs:
+            dense.append((lows, least, top, bound))
+            stride = gcd(stride, own)
+        else:
+            dense.append(None)
+    # every packed sum must also leave fewer empty slots than term pairs at
+    # the shared stride
+    stride = stride or 1
+    bound = 0
+    for i, plan in enumerate(dense):
+        if plan is not None:
+            if (plan[2] - plan[1]) // stride < plans[i][1]:
+                bound = max(bound, plan[3])
+            else:
+                dense[i] = None
+    width = _width(bound)
+    packed = {}  # id(operand) -> the operand packed from its least exponent
+    out = []
+    for (rows, _), plan in zip(plans, dense):
+        if plan is None:
+            out.append(_termwise_sum(rows))
+            continue
+        lows, least = plan[0], plan[1]
+        total = 0
+        for (k, _, used), low in zip(rows, lows):
+            for t in used:
+                v = packed.get(id(t))
+                if v is None:
+                    v = packed[id(t)] = pack_poly(t, width, -spans[id(t)][0], stride)
+                k *= v
+            total += k << (width * ((low - least) // stride))
+        out.append(unpack_poly(total, width, least, stride))
+    return out
 
 
 def signed_join(pieces, sep: str = "") -> str:
@@ -347,28 +516,37 @@ class LaurentPoly(SparseSum):
         return LaurentPoly({e: coeff})
 
     def __mul__(self, other):
-        # the hot path of the whole package: large products packed (module
-        # docstring), the rest by the generic product, inlined for int keys
-        # and int coefficients
-        if not isinstance(other, LaurentPoly) and (other := self._coerce(other)) is None:
+        # the hot path of the whole package: an int or a one-term operand
+        # scales term by term, a product of fewer than _SCHOOLBOOK_PAIRS term
+        # pairs runs the schoolbook loop, and the rest is the one-product
+        # case of the packed accumulator (module docstring)
+        if isinstance(other, LaurentPoly):
+            a, b = self.terms, other.terms
+            if len(a) == 1 or len(b) == 1:
+                ((e0, c0),), b = (a.items(), b) if len(a) == 1 else (b.items(), a)
+                out = {e0 + e: c0 * c for e, c in b.items()}
+            elif len(a) * len(b) >= _SCHOOLBOOK_PAIRS:
+                out = _accumulate([([(1, 0, [a, b])], len(a) * len(b))])[0]
+            else:
+                # _schoolbook, inlined: most products in reduction are small
+                out = {}
+                for e1, c1 in a.items():
+                    for e2, c2 in b.items():
+                        e = e1 + e2
+                        s = out.get(e, 0) + c1 * c2
+                        if s:
+                            out[e] = s
+                        elif e in out:
+                            del out[e]
+        elif isinstance(other, int):
+            out = {e: c * other for e, c in self.terms.items()} if other else {}
+        else:
             return NotImplemented
-        a, b = self.terms, other.terms
-        out = None
-        if len(a) * len(b) >= _SCHOOLBOOK_PAIRS and len(a) > 1 and len(b) > 1:
-            out = _packed_product(a, b)
-        if out is None:
-            out = {}
-            for e1, c1 in a.items():
-                for e2, c2 in b.items():
-                    e = e1 + e2
-                    s = out.get(e, 0) + c1 * c2
-                    if s:
-                        out[e] = s
-                    elif e in out:
-                        del out[e]
         res = self.__class__.__new__(self.__class__)
         res.terms = out
         return res
+
+    __rmul__ = __mul__
 
     # -- structure queries ----------------------------------------------
 
@@ -469,6 +647,60 @@ class LaurentPoly(SparseSum):
                 body = qp if mag == 1 else f"{mag}*{qp}"
             pieces.append((c < 0, body))
         return signed_join(pieces)
+
+
+class ProductSum:
+    """A sum of int-weighted products of LaurentPolys, [(k, (f_1, ..., f_m))],
+    left unevaluated.  Sums concatenate, products distribute, and an int or a
+    LaurentPoly operand joins as a product of no or one factor, so formulas
+    over LaurentPolys with these at their leaves evaluate together in one
+    ``sums_of_products`` (``evaluate_all``).  Immutable, like the rings."""
+
+    __slots__ = ("products",)
+
+    def __init__(self, products=None):
+        self.products = [] if products is None else products
+
+    @staticmethod
+    def _products(x):
+        if isinstance(x, ProductSum):
+            return x.products
+        if isinstance(x, LaurentPoly):
+            return [(1, (x,))]
+        if isinstance(x, int):
+            return [(x, ())]
+        return None
+
+    @classmethod
+    def of(cls, poly: LaurentPoly) -> "ProductSum":
+        return cls([(1, (poly,))])
+
+    def __add__(self, other):
+        other = self._products(other)
+        return NotImplemented if other is None else ProductSum(self.products + other)
+
+    def __neg__(self):
+        return ProductSum([(-k, f) for k, f in self.products])
+
+    def __sub__(self, other):
+        other = self._products(other)
+        if other is None:
+            return NotImplemented
+        return ProductSum(self.products + [(-k, f) for k, f in other])
+
+    def __mul__(self, other):
+        other = self._products(other)
+        if other is None:
+            return NotImplemented
+        return ProductSum([(k1 * k2, f1 + f2) for k1, f1 in self.products for k2, f2 in other])
+
+    __rmul__ = __mul__
+
+    @staticmethod
+    def evaluate_all(sums) -> list:
+        """The values of the given ProductSums, as LaurentPolys, evaluated
+        together (``sums_of_products``)."""
+        return [LaurentPoly._wrap(t) for t in sums_of_products([x.products for x in sums])]
 
 
 def parse_laurent(text: str) -> LaurentPoly:

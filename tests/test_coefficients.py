@@ -1,9 +1,14 @@
+import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 
 import pytest
 
+import qonsager
 from qonsager import (
     A,
     ASTAR,
@@ -27,6 +32,7 @@ from qonsager import (
     reduced_genfun_coeffs,
     reduced_tridiagonal_params,
 )
+from qonsager.cli import table_to_json
 from qonsager.coefficients import (
     ROUTES,
     RecursionTables,
@@ -219,6 +225,16 @@ def test_coeff_tables_yield_the_tables_of_each_r_in_order(route):
     assert list(coeff_tables(0, route)) == []
 
 
+@pytest.mark.parametrize("route", ("closed", "closed-literal"))
+def test_closed_tables_share_one_running_product(route, monkeypatch):
+    made = []
+    factor = qonsager.coefficients._family_factor
+    monkeypatch.setattr(qonsager.coefficients, "_family_factor",
+                        lambda s: made.append(s) or factor(s))
+    assert [t.r for t in coeff_tables(8, route)] == list(range(1, 9))
+    assert made == list(range(1, 9))
+
+
 def test_symmetry_and_structural_properties_to_r8():
     # palindromic symmetry is asserted by .check(); on top of that the
     # entries are observed (a regression property, not a theorem) to be bar-invariant with
@@ -318,3 +334,29 @@ def test_route_dispatch_rejects_unknown():
         coeff_table(2, "guesswork")
     with pytest.raises(ValueError):
         coeff_table(0, "genfun")
+
+
+# SHA-256 of the r = 12 JSON exports (qonsager coeffs --r 12 --route ROUTE),
+# recorded from the route implementations before the packed accumulator:
+# the recursion and closed routes evaluate their sums through it, so a byte
+# that moves here is a coefficient that moved.
+R12_JSON_DIGESTS = {
+    "recursion": "cb9de1ecc135b77ff9b50e18796887268aa230bb297c775047079a39ef445a68",
+    "closed": "26ac1648e7808d1cf5dc6421c0ce5e234c036535c55fb97ed3bcb434aa497949",
+}
+
+
+@pytest.mark.parametrize("route", sorted(R12_JSON_DIGESTS))
+def test_r12_exports_are_pinned(route):
+    digest = hashlib.sha256(table_to_json(coeff_table(12, route)).encode()).hexdigest()
+    assert digest == R12_JSON_DIGESTS[route]
+
+
+def test_r12_recursion_export_is_the_same_under_optimized_mode():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qonsager.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "qonsager.cli",
+         "coeffs", "--r", "12", "--route", "recursion"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == R12_JSON_DIGESTS["recursion"]

@@ -18,7 +18,14 @@ from qonsager import (
     parse_laurent,
     qint,
 )
-from qonsager.exactring import _SCHOOLBOOK_PAIRS, pack_poly, pair_add, unpack_poly
+from qonsager.exactring import (
+    _SCHOOLBOOK_PAIRS,
+    ProductSum,
+    pack_poly,
+    pair_add,
+    sums_of_products,
+    unpack_poly,
+)
 from conftest import rand_laurent, rand_ring
 
 Q = LaurentPoly.q_power
@@ -304,6 +311,87 @@ def test_ring_products_over_packed_coefficients_are_unchanged():
         assert x * y == RingElement(expected)
 
 
+def schoolbook_sum(products):
+    """The reference sum of products: every product term by term, then added."""
+    total = LaurentPoly.zero()
+    for k, factors in products:
+        prod = LaurentPoly({0: k})
+        for f in factors:
+            prod = schoolbook(prod, f)
+        total = total + prod
+    return total
+
+
+def term_pairs(products):
+    count = 0
+    for _, factors in products:
+        size = 1
+        for f in factors:
+            size *= len(f.terms)
+        count += size
+    return count
+
+
+def test_sums_of_products_match_the_schoolbook_oracle():
+    rng = random.Random(13)
+    seen = set()
+    for _ in range(120):
+        stride = rng.choice((1, 2, 3))
+        bits = rng.choice((1, 8, 30, 62, 70, 200))
+        pool = [rand_strided(rng, rng.randint(1, 25), stride, bits) for _ in range(5)]
+        pool += [LaurentPoly.q_power(rng.randint(-9, 9), rng.randint(-3, 3) or 1),
+                 LaurentPoly({1000 * stride * k: k + 1 for k in range(-3, 9)})]  # sparse
+        sums = [[(rng.choice((1, -1)) * rng.randint(1, 1 << rng.choice((1, 20, 70))),
+                  tuple(rng.choice(pool) for _ in range(rng.randint(1, 3))))
+                 for _ in range(rng.randint(1, 20))]
+                for _ in range(rng.randint(1, 4))]
+        for products, value in zip(sums, sums_of_products(sums)):
+            assert all(value.values())
+            assert LaurentPoly(value) == schoolbook_sum(products), products
+            seen.add(term_pairs(products) >= _SCHOOLBOOK_PAIRS)
+    assert seen == {True, False}
+
+
+def test_sums_of_products_that_cancel():
+    rng = random.Random(14)
+    for bits in (3, 62, 70, 5000):
+        a, b, c = (rand_strided(rng, 20, 2, bits) for _ in range(3))
+        abc = schoolbook(schoolbook(a, b), c)
+        assert sums_of_products([[(5, (a, b)), (-5, (b, a))],
+                                 [(1, (a, b, c)), (-1, (abc,))],
+                                 [(3, (a, b)), (-1, (a, b, LaurentPoly({0: 3})))],
+                                 [(1, (a, b)), (-1, (a, b, LaurentPoly.q_power(4))),
+                                  (1, (a, LaurentPoly.q_power(4), b))],
+                                 [(1, (a, LaurentPoly.zero(), b))], []]) == [
+            {}, {}, {}, schoolbook(a, b).terms, {}, {}]
+
+
+def test_sums_of_products_just_past_each_word_width():
+    # every product is run * run, run = 1 + q^2 + ... + q^22: its middle
+    # coefficient is 12 = |run|_inf |run|_1, so the middle coefficient of a
+    # sum of weights adding up to w is 12 w, the width bound itself; the bit
+    # lengths go to just below and just past 8, 16, 32 and 64 - 2 bits
+    run = LaurentPoly({2 * k: 1 for k in range(12)})
+    for bits in (6, 7, 14, 15, 30, 31, 62, 63, 64, 100):
+        total = (1 << bits) // 12
+        weights = [total - total // 3, total // 3]
+        products = [(w, (run, run)) for w in weights]
+        (value,) = sums_of_products([products])
+        assert value[22] == 12 * total and (12 * total).bit_length() == bits
+        assert LaurentPoly(value) == schoolbook_sum(products)
+
+
+def test_product_sum_formulas_evaluate_together():
+    rng = random.Random(15)
+    a, b, c = (ProductSum.of(rand_strided(rng, 15, 2, 40)) for _ in range(3))
+    x, y, z = (p.products[0][1][0] for p in (a, b, c))
+    first, second, zero = ProductSum.evaluate_all(
+        [2 * a * (b - c) + 3 - c * a, -(a * b) + 0 * c, a * b - b * a])
+    assert first == 2 * schoolbook(x, y) - 2 * schoolbook(x, z) + 3 - schoolbook(z, x)
+    assert second == -schoolbook(x, y)
+    assert zero == 0
+
+
 @pytest.mark.parametrize("width", [8, 16, 32, 64, 3, 7, 39, 70, 200])
 def test_packing_round_trips_at_word_and_other_widths(width):
     rng = random.Random(width)
@@ -325,9 +413,19 @@ def test_packing_round_trips_at_word_and_other_widths(width):
 
 
 def test_codec_checks_survive_optimized_mode():
-    script = ("from qonsager.exactring import pack_poly, unpack_poly\n"
+    # the last call forces a too-narrow accumulation: the operand's values()
+    # understates its coefficients, so the width bound comes out 12 where the
+    # product's coefficients reach 120000
+    script = ("from qonsager.exactring import (LaurentPoly, pack_poly, sums_of_products,\n"
+              "                                 unpack_poly)\n"
+              "class Understated(dict):\n"
+              "    def values(self):\n"
+              "        return [1] * len(self)\n"
+              "f = LaurentPoly._wrap(Understated({2 * e: 100 for e in range(12)}))\n"
               "for call in (lambda: unpack_poly(64, 8), lambda: unpack_poly(1 << 37, 39),\n"
-              "             lambda: pack_poly({0: 1 << 70}, 64), lambda: pack_poly({0: 1 << 70}, 39)):\n"
+              "             lambda: pack_poly({0: 1 << 70}, 64),\n"
+              "             lambda: pack_poly({0: 1 << 70}, 39),\n"
+              "             lambda: sums_of_products([[(1, (f, f))]])):\n"
               "    try:\n"
               "        call()\n"
               "    except AssertionError:\n"
