@@ -257,10 +257,27 @@ def _span(t: dict) -> tuple:
     return lo, max(t), gcd(*map((-lo).__add__, t)), sum(map(abs, vals)), max(map(abs, vals))
 
 
+def _bound(k: int, spans) -> int:
+    """The bound B of one product k f_1 ... f_m from the ``_span`` of each
+    f_i (module docstring): |k| times the sup norm of one operand times the
+    1-norms of the others, for the operand with the least sup norm per
+    1-norm; |k| for no operand."""
+    one = 1
+    best = None
+    for span in spans:
+        one *= span[3]
+        if best is None or span[4] * best[3] < best[4] * span[3]:
+            best = span
+    return abs(k) * (best[4] * (one // best[3]) if best else 1)
+
+
 def _width(bound: int) -> int:
     """The slot width for coefficients of at most ``bound`` (module docstring)."""
     width = bound.bit_length() + 2
-    return next((w for w in _WORD_CODES if w >= width), width)
+    for w in _WORD_CODES:
+        if w >= width:
+            return w
+    return width
 
 
 def _accumulate(plans) -> list:
@@ -274,10 +291,27 @@ def _accumulate(plans) -> list:
     that several of them use is measured and packed once.  The other sums go
     term by term.
     """
+    if len(plans) == 1 and len(plans[0][0]) == 1 and plans[0][1] >= _SCHOOLBOOK_PAIRS:
+        # one product, as ``LaurentPoly.__mul__`` asks for: nothing is shared,
+        # so its own spans give the stride, the bound and the width
+        (rows, pairs), = plans
+        (k, low, used), = rows
+        spans = list(map(_span, used))
+        least = top = low
+        stride = 0
+        for span in spans:
+            least += span[0]
+            top += span[1]
+            stride = gcd(stride, span[2])
+        if (top - least) // stride >= pairs:
+            return [_termwise_sum(rows)]
+        width = _width(_bound(k, spans))
+        for t, span in zip(used, spans):
+            k *= pack_poly(t, width, -span[0], stride)
+        return [unpack_poly(k, width, least, stride)]
     # A sum's own stride is the gcd of its operands' exponent gaps and of the
-    # gaps between its products' least exponents; its bound adds, over its
-    # products, |k| times the sup norm of one operand times the 1-norms of
-    # the others, for the operand with the least sup norm per 1-norm.
+    # gaps between its products' least exponents; its bound adds ``_bound``
+    # over its products.
     spans = {}  # id(operand) -> _span(operand)
     dense = []  # per sum: (least exponent per product, least, greatest, bound) or None
     stride = 0
@@ -290,8 +324,7 @@ def _accumulate(plans) -> list:
         own = bound = 0
         for k, low, used in rows:
             high = low
-            one = 1
-            best = None
+            row = []
             for t in used:
                 span = spans.get(id(t))
                 if span is None:
@@ -299,10 +332,8 @@ def _accumulate(plans) -> list:
                 low += span[0]
                 high += span[1]
                 own = gcd(own, span[2])
-                one *= span[3]
-                if best is None or span[4] * best[3] < best[4] * span[3]:
-                    best = span
-            bound += abs(k) * (best[4] * (one // best[3]) if best else 1)
+                row.append(span)
+            bound += _bound(k, row)
             lows.append(low)
             if least is None:
                 least, top = low, high

@@ -27,12 +27,14 @@ Only the A-side relation is installed.  The A*-side family is reached
 through the dagger automorphism, never by a second rule.
 
 ``_normalize`` learns how a block expands only through a memo view, a map
-(n, post) -> (word, coefficient) pairs for the block A^n A* followed by
-the letters ``post``; sums are tested for zero by ``not s``.  Three views
-exist: the memo itself (RingElement coefficients), its majorant (the exact
-l1 norm of each coefficient, an int) and its packing (one int per
-coefficient).  ``normal_form``, ``trace_reduction`` and ``reduce`` use the
-first.
+(n, post) -> (word, multiplier, shift) triples for the block A^n A*
+followed by the letters ``post``: a popped coefficient c becomes
+c * multiplier, shifted left by ``shift`` bits when that is not 0, and
+sums are tested for zero by ``not s``.  Three views exist: the memo itself
+(RingElement coefficients) and its majorant (the exact l1 norm of each
+coefficient, an int), both with shift 0, and its packing (an odd int and a
+shift per coefficient).  ``normal_form``, ``trace_reduction`` and
+``reduce`` use the first.
 
 Packed graded coefficients.  Give A and A* degree 1 and rho0 degree 2;
 the rule is homogeneous and its coefficients have even q-exponents.  So on
@@ -50,7 +52,13 @@ polynomial in X = q^2.  ``normal_form_with_stats`` packs such input:
    with the packed view: the coefficient of mw in NF(A^n A*) times
    X^(inv(A^n A*) - inv(mw)), a polynomial, evaluated at 2^K and multiplied
    by 2^(K (n - a(mw)) s(post)), where a counts A's and s counts A*'s.
-   Then each replacement keeps the scaling of step 1 exactly;
+   Then each replacement keeps the scaling of step 1 exactly.  The view
+   holds that multiplier as an odd mantissa v (the evaluated polynomial
+   without its b0 trailing zero bits) and the shift
+   b = b0 + K (n - a(mw)) s(post), and the pass computes (c v) 2^b, which
+   is the same int as c (v 2^b).  CPython multiplies digit by digit, zero
+   digits included; over the products of the r = 6 relation a mantissa has
+   8.2 thirty-bit digits on average, the shifted multiplier 16.1;
 5. each final int is read in balanced base-2^K digits back into a
    RingElement.
 
@@ -162,21 +170,6 @@ def reduce_once(x: NcPoly) -> NcPoly:
 _POW_NF: dict[int, dict] = {}
 
 
-def _leftmost_block(w: str):
-    """Leftmost maximal run A^n (n >= 3) immediately before an A*.
-
-    Returns (start, n) with w[start:start+n] the run and w[start+n] == 's',
-    or None when the word is already normal.
-    """
-    pos = w.find(_REDEX)
-    if pos < 0:
-        return None
-    start = pos
-    while start > 0 and w[start - 1] == GEN_A:
-        start -= 1
-    return start, pos + 3 - start  # w[pos+3] is the bounding A*
-
-
 def _pow_nf(n: int) -> dict:
     """Normal form of A^n A* as a raw {word: RingElement} dict, memoized.
 
@@ -204,35 +197,35 @@ def _pow_nf(n: int) -> dict:
     return prev
 
 
-def _ring_view(n: int, post: str):
-    """Memo view: NF(A^n A*) itself, as (word, RingElement) pairs."""
-    return _pow_nf(n).items()
-
-
-def _majorant_view():
-    """Memo view: the exact l1 norm of each coefficient of NF(A^n A*)."""
-    norms: dict[int, list] = {}
+def _memo_view(coefficient):
+    """Memo view of NF(A^n A*) that ignores ``post``: (word, coefficient(c),
+    0) for each term c word."""
+    triples: dict[int, list] = {}
 
     def view(n: int, post: str):
-        pairs = norms.get(n)
-        if pairs is None:
-            pairs = norms[n] = [
-                (mw, sum(abs(v) for p in c.terms.values() for v in p.terms.values()))
-                for mw, c in _pow_nf(n).items()]
-        return pairs
+        out = triples.get(n)
+        if out is None:
+            out = triples[n] = [(mw, coefficient(c), 0) for mw, c in _pow_nf(n).items()]
+        return out
     return view
+
+
+def _l1_norm(c: RingElement) -> int:
+    """The sum of the absolute values of c's integer coefficients."""
+    return sum(abs(v) for p in c.terms.values() for v in p.terms.values())
 
 
 def _packed_view(width: int):
     """Memo view at X = 2^width: the coefficient of mw times
-    X^(inv(A^n A*) - inv(mw)), shifted by width * (n - a(mw)) * s(post)."""
+    X^(inv(A^n A*) - inv(mw)), shifted by width * (n - a(mw)) * s(post), as
+    an odd mantissa and a shift (step 4 of the module docstring)."""
     heads: dict[int, list] = {}
-    shifted: dict[tuple, list] = {}
+    triples: dict[tuple, list] = {}
 
     def view(n: int, post: str):
         s = post.count(GEN_ASTAR)
-        pairs = shifted.get((n, s))
-        if pairs is None:
+        out = triples.get((n, s))
+        if out is None:
             head = heads.get(n)
             if head is None:
                 head = heads[n] = []
@@ -241,10 +234,11 @@ def _packed_view(width: int):
                     if poly is None:
                         raise AssertionError(
                             f"memo coefficient of {mw!r} in NF(A^{n} A*) is not graded")
-                    head.append((mw, pack_poly(poly, width, n - measure(mw)[1]),
-                                 n - mw.count(GEN_A)))
-            pairs = shifted[(n, s)] = [(mw, v << (width * d * s)) for mw, v, d in head]
-        return pairs
+                    v = pack_poly(poly, width, n - measure(mw)[1])
+                    zeros = (v & -v).bit_length() - 1
+                    head.append((mw, v >> zeros, zeros, width * (n - mw.count(GEN_A))))
+            out = triples[(n, s)] = [(mw, v, zeros + d * s) for mw, v, zeros, d in head]
+        return out
     return view
 
 
@@ -282,60 +276,81 @@ class ReductionTrace:
         return [f"{word_string(w)} -> {k} terms @pos {p}" for (w, p, k) in self.steps]
 
 
-def _normalize(terms: dict, expand=_ring_view, record: ReductionTrace | None = None) -> dict:
+def _normalize(terms: dict, expand=None, record: ReductionTrace | None = None) -> dict:
     """Fixed point of the rule on a raw term dict, by wholesale substitution.
 
-    ``expand`` is the memo view that gives each block's replacement terms.
-    Words are processed longest-first so shorter duplicates merge before they
-    are expanded; within one length the worklist is insertion-ordered, hence
-    deterministic.  A reducible word lives only in its bucket, so it is popped
-    with its whole coefficient in the running sum of ``result`` and the
-    buckets, and the recorded replacements replay to the same fixed point.
+    ``expand`` is the memo view (module docstring) that gives each block's
+    replacement terms; the default is the ring view.  Words are processed
+    longest-first so shorter duplicates merge before they are expanded;
+    within one length the worklist is insertion-ordered, hence
+    deterministic.  A reducible word lives only in its bucket, so it is
+    popped with its whole coefficient in the running sum of ``result`` and
+    the buckets, and the recorded replacements replay to the same fixed
+    point.  ``live`` counts the terms held in ``result`` and the buckets.
     """
+    if expand is None:
+        expand = _memo_view(lambda c: c)
     buckets: dict[int, dict] = {}
     result: dict = {}
-    live = 0
-
-    def insert(bucket, w, c):
-        nonlocal live
-        s = bucket.get(w)
-        if s is None:
-            bucket[w] = c
-            live += 1
-        else:
-            s = s + c
-            if not s:
-                del bucket[w]
-                live -= 1
-            else:
-                bucket[w] = s
-
     for w, c in terms.items():
-        insert(buckets.setdefault(len(w), {}), w, c)
+        buckets.setdefault(len(w), {})[w] = c
+    live = len(terms)
     if record is not None:
         record.peak_term_count = max(record.peak_term_count, live)
 
     while buckets:
         length = max(buckets)
         bucket = buckets[length]
+        popped = 0
         while bucket:
+            # a popped key leaves a dead slot that next(iter(bucket)) walks
+            # over; a copy in the same order drops them once they outnumber
+            # the live keys
+            if popped > len(bucket):
+                bucket = buckets[length] = dict(bucket)
+                popped = 0
+            popped += 1
             w = next(iter(bucket))
             c = bucket.pop(w)
             live -= 1
-            block = _leftmost_block(w)
-            if block is None:
-                insert(result, w, c)
+            pos = w.find(_REDEX)
+            if pos < 0:  # a normal input word
+                s = result.get(w)
+                if s is None:
+                    result[w] = c
+                    live += 1
+                else:
+                    s = s + c
+                    if s:
+                        result[w] = s
+                    else:
+                        del result[w]
+                        live -= 1
                 continue
-            start, n = block
-            pre, post = w[:start], w[start + n + 1:]
-            pairs = expand(n, post)
-            for mw, mc in pairs:
+            # the leftmost block A^n A*: the whole A-run that ends at pos + 3
+            pre, post = w[:pos].rstrip(GEN_A), w[pos + 4:]
+            start = len(pre)
+            triples = expand(pos + 3 - start, post)
+            for mw, v, shift in triples:
                 nw = pre + mw + post
+                p = c * v
+                if shift:
+                    p <<= shift
                 dest = result if _REDEX not in nw else (
                     bucket if len(nw) == length else buckets.setdefault(len(nw), {}))
-                insert(dest, nw, c * mc)
+                s = dest.get(nw)
+                if s is None:
+                    dest[nw] = p
+                    live += 1
+                else:
+                    s = s + p
+                    if s:
+                        dest[nw] = s
+                    else:
+                        del dest[nw]
+                        live -= 1
             if record is not None:
-                record.steps.append((w, start, len(pairs)))
+                record.steps.append((w, start, len(triples)))
                 if live > record.peak_term_count:
                     record.peak_term_count = live
         del buckets[length]
@@ -383,7 +398,7 @@ def normal_form_with_stats(x: NcPoly):
     inv = {w: measure(w)[1] for w in polys}
     shift = max(inv[w] - min(p) for w, p in polys.items())
     majorant = _normalize({w: sum(map(abs, p.values())) for w, p in polys.items()},
-                          _majorant_view())
+                          _memo_view(_l1_norm))
     bits = max(majorant.values()).bit_length()
     width = bits + 2
     trace = ReductionTrace(width_bits=width, majorant_bits=bits)

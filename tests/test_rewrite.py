@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -25,9 +28,10 @@ from qonsager import (
     trace_reduction,
 )
 import qonsager.verify
+from qonsager import rewrite
 from qonsager.cli import TEST_HOOKS_ENV, main
 from qonsager.exactring import pack_poly, unpack_poly
-from qonsager.rewrite import _apply_rule_at, is_normal
+from qonsager.rewrite import _apply_rule_at, _packed_view, _pow_nf, _x_poly, is_normal
 from conftest import rand_word
 
 ALPHA = RingElement.from_laurent(qint(3))
@@ -199,7 +203,8 @@ def test_eta_outside_grid_raises():
 
 def test_relation_reduction_stats_are_pinned():
     # verify prints peak_term_count, so the memo's word order must not move it
-    pinned = {1: (1, 10), 2: (11, 28), 3: (66, 119), 4: (315, 489), 5: (1346, 1929)}
+    pinned = {1: (1, 10), 2: (11, 28), 3: (66, 119), 4: (315, 489), 5: (1346, 1929),
+              6: (5400, 7364)}
     for r, expected in pinned.items():
         nf, stats = normal_form_with_stats(build_relation_lhs(coeff_table(r, "genfun")))
         assert nf.is_zero(), r
@@ -301,6 +306,51 @@ def test_packed_width_is_pinned():
     for r, expected in {5: (39, 37), 6: (51, 49)}.items():
         _, stats = normal_form_with_stats(build_relation_lhs(coeff_table(r, "genfun")))
         assert (stats.width_bits, stats.majorant_bits) == expected, r
+
+
+@pytest.mark.parametrize("width", [39, 51, 64])
+def test_packed_multipliers_are_odd_mantissas_of_the_shifted_heads(width):
+    # the multiplier of mw in NF(A^n A*) before a post with s A*'s is
+    # pack_poly(its X-polynomial, width, n - inv(mw)) << width (n - a(mw)) s
+    view = _packed_view(width)
+    for n in range(3, 21):
+        memo = _pow_nf(n)
+        for s in range(9):
+            triples = view(n, "as" * s)
+            assert [mw for mw, _, _ in triples] == list(memo)
+            for (mw, v, shift), c in zip(triples, memo.values()):
+                assert v & 1, (n, s, mw)
+                head = pack_poly(_x_poly(mw, c, n + 1), width, n - measure(mw)[1])
+                assert v << shift == head << (width * (n - mw.count("a")) * s), (n, s, mw)
+
+
+def test_too_narrow_width_raises(monkeypatch):
+    # with every memo coefficient's l1 norm understated as 1 the majorant
+    # counts paths, so K comes out 22 instead of the proved 39, and the
+    # residual coefficients of this table overflow their slots
+    x = build_relation_lhs(sabotaged_table(5, 0, 0, 1))
+    assert normal_form_with_stats(x)[1].width_bits == 39
+    monkeypatch.setattr(rewrite, "_l1_norm", lambda c: 1)
+    with pytest.raises(AssertionError, match="packed digit reaches"):
+        normal_form_with_stats(x)
+
+
+def test_too_narrow_width_raises_under_optimized_mode():
+    script = ("from qonsager import CoeffTable, build_relation_lhs, coeff_table, rewrite\n"
+              "table = coeff_table(5, 'genfun')\n"
+              "entries = dict(table.entries)\n"
+              "entries[(0, 0)] = entries[(0, 0)] + 1\n"
+              "x = build_relation_lhs(CoeffTable(r=5, route='genfun+sabotage', entries=entries))\n"
+              "rewrite._l1_norm = lambda c: 1\n"
+              "try:\n"
+              "    rewrite.normal_form_with_stats(x)\n"
+              "except AssertionError as e:\n"
+              "    raise SystemExit(0 if 'packed digit reaches' in str(e) else str(e))\n"
+              "raise SystemExit('no AssertionError')\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qonsager.__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_packing_checks_raise_outright():
