@@ -7,11 +7,21 @@ The single installed rule solves the defining relation for A^3 A*:
 ``reduce_once`` applies it once, at the leftmost occurrence inside the
 leftmost reducible word (canonical term order); it is the step-wise oracle
 of the tests.  ``normal_form`` computes the fixed point by wholesale
-substitution: every maximal block A^n A* (n >= 3) is replaced in one shot by
-the memoized normal form of A^n A*.  ``trace_reduction`` and
-``normal_form_with_stats`` run the same engine with a ``ReductionTrace``
-that records each block replacement and the peak number of live terms;
-the latter runs it on packed ints when its input is graded (below).
+substitution, depth first over prefix classes (``_normalize``): the leftmost
+block A^n A* (n >= 3) of a word, the first A-run after its normal prefix,
+is replaced in one shot by the memoized normal form of A^n A*.
+``trace_reduction`` and ``normal_form_with_stats`` run the same engine with
+a ``ReductionTrace``: the first keeps each block replacement, the second
+counts them; both record the peak number of live terms, and the second runs
+on packed ints when its input is graded (below).
+
+Why the order is free.  The pattern A^3 A* has no proper suffix that is
+also its prefix, so two occurrences never overlap and the rule has no
+critical pairs.  With the termination measure as the compatible order,
+Bergman's diamond lemma (1978) makes the normal form unique: every order of
+rule steps reaches the same fixed point.  So ``_normalize`` may pick its
+traversal, and ``reduce_once`` and the tests' random-position oracle check
+it.
 
 The memo uses the rule alone, one step per n:
 
@@ -27,14 +37,15 @@ Only the A-side relation is installed.  The A*-side family is reached
 through the dagger automorphism, never by a second rule.
 
 ``_normalize`` learns how a block expands only through a memo view, a map
-(n, post) -> (word, multiplier, shift) triples for the block A^n A*
-followed by the letters ``post``: a popped coefficient c becomes
+(n, post) -> (j, tail, multiplier, shift), one for each word A^j A* tail of
+NF(A^n A*), for the block A^n A* followed by the letters ``post``
+(j <= 2 by the recurrence above): a popped coefficient c becomes
 c * multiplier, shifted left by ``shift`` bits when that is not 0, and
-sums are tested for zero by ``not s``.  Three views exist: the memo itself
-(RingElement coefficients) and its majorant (the exact l1 norm of each
-coefficient, an int), both with shift 0, and its packing (an odd int and a
-shift per coefficient).  ``normal_form``, ``trace_reduction`` and
-``reduce`` use the first.
+sums are tested for zero by ``not s``.  ``_view`` builds three views, one
+per multiplier of a memo term: the memo itself (RingElement coefficients)
+and its majorant (the exact l1 norm of each coefficient, an int), both with
+shift 0, and its packing (an odd int and a shift per coefficient).
+``normal_form``, ``trace_reduction`` and ``reduce`` use the first.
 
 Packed graded coefficients.  Give A and A* degree 1 and rho0 degree 2;
 the rule is homogeneous and its coefficients have even q-exponents.  So on
@@ -74,9 +85,11 @@ is at most the majorant's path mass through that word.  Every memo
 coefficient is nonzero with integer coefficients, so its l1 norm is >= 1
 and the mass through a word is at most the mass that reaches any normal
 word below it, hence at most the largest final majorant value, which is
-below 2^(K-2).  Evaluation at 2^K is a ring homomorphism, and a polynomial
-whose coefficients all lie below 2^(K-1) in absolute value vanishes at 2^K
-only if it is zero (Cauchy's root bound).  So every zero test of the packed
+below 2^(K-2).  A final majorant value is a sum of nonnegative path
+masses, which no traversal order changes, so the bound holds for the
+depth-first order as for any other.  Evaluation at 2^K is a ring
+homomorphism, and a polynomial whose coefficients all lie below 2^(K-1) in
+absolute value vanishes at 2^K only if it is zero (Cauchy's root bound).  So every zero test of the packed
 pass is exact, it makes the same replacements as the RingElement pass, and
 the unpacked residual is exact.  A scaled memo coefficient with a negative
 X exponent, or an unpacked digit of 2^(K-2) or more, would break this
@@ -86,7 +99,7 @@ under ``python -O``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .exactring import LaurentPoly, RingElement, pack_poly, unpack_poly
 from .freealg import GEN_A, GEN_ASTAR, NcPoly, word_key, word_string
@@ -197,17 +210,31 @@ def _pow_nf(n: int) -> dict:
     return prev
 
 
-def _memo_view(coefficient):
-    """Memo view of NF(A^n A*) that ignores ``post``: (word, coefficient(c),
-    0) for each term c word."""
-    triples: dict[int, list] = {}
+def _view(multiplier):
+    """A memo view (module docstring): multiplier(n, mw, c) gives (v, b0, d)
+    for the term c mw of NF(A^n A*), and the shift before a ``post`` with s
+    A*'s is b0 + d s."""
+    heads: dict[int, list] = {}
+    quads: dict[tuple, list] = {}
 
     def view(n: int, post: str):
-        out = triples.get(n)
+        s = post.count(GEN_ASTAR)
+        out = quads.get((n, s))
         if out is None:
-            out = triples[n] = [(mw, coefficient(c), 0) for mw, c in _pow_nf(n).items()]
+            head = heads.get(n)
+            if head is None:
+                head = heads[n] = []
+                for mw, c in _pow_nf(n).items():
+                    j = mw.index(GEN_ASTAR)
+                    head.append((j, mw[j + 1:], *multiplier(n, mw, c)))
+            out = quads[(n, s)] = [(j, tail, v, b0 + d * s) for j, tail, v, b0, d in head]
         return out
     return view
+
+
+# one ring view per process: its lists depend on n and s(post) only, and
+# rebuilding them for every call costs about 4% of the reduce benchmark
+_RING_VIEW = _view(lambda n, mw, c: (c, 0, 0))
 
 
 def _l1_norm(c: RingElement) -> int:
@@ -219,27 +246,15 @@ def _packed_view(width: int):
     """Memo view at X = 2^width: the coefficient of mw times
     X^(inv(A^n A*) - inv(mw)), shifted by width * (n - a(mw)) * s(post), as
     an odd mantissa and a shift (step 4 of the module docstring)."""
-    heads: dict[int, list] = {}
-    triples: dict[tuple, list] = {}
 
-    def view(n: int, post: str):
-        s = post.count(GEN_ASTAR)
-        out = triples.get((n, s))
-        if out is None:
-            head = heads.get(n)
-            if head is None:
-                head = heads[n] = []
-                for mw, c in _pow_nf(n).items():
-                    poly = _x_poly(mw, c, n + 1)
-                    if poly is None:
-                        raise AssertionError(
-                            f"memo coefficient of {mw!r} in NF(A^{n} A*) is not graded")
-                    v = pack_poly(poly, width, n - measure(mw)[1])
-                    zeros = (v & -v).bit_length() - 1
-                    head.append((mw, v >> zeros, zeros, width * (n - mw.count(GEN_A))))
-            out = triples[(n, s)] = [(mw, v, zeros + d * s) for mw, v, zeros, d in head]
-        return out
-    return view
+    def multiplier(n: int, mw: str, c: RingElement):
+        poly = _x_poly(mw, c, n + 1)
+        if poly is None:
+            raise AssertionError(f"memo coefficient of {mw!r} in NF(A^{n} A*) is not graded")
+        v = pack_poly(poly, width, n - measure(mw)[1])
+        zeros = (v & -v).bit_length() - 1
+        return v >> zeros, zeros, width * (n - mw.count(GEN_A))
+    return _view(multiplier)
 
 
 def _x_poly(w: str, c: RingElement, degree: int):
@@ -256,104 +271,86 @@ def _x_poly(w: str, c: RingElement, degree: int):
 
 @dataclass
 class ReductionTrace:
-    """What one run of ``_normalize`` did: every block replacement as
-    (word, start of its A^n A* block, terms of NF(A^n A*)), in order, the
-    peak number of live terms, and the normal form.  A packed run also
-    records its width K (``width_bits``) and the bit length of the largest
-    majorant value (``majorant_bits``); both stay 0 on the RingElement view."""
+    """What one run of ``_normalize`` did: the number of block replacements,
+    the peak number of live terms, and the normal form.  ``trace_reduction``
+    also keeps every replacement as (word, start of its A^n A* block, terms
+    of NF(A^n A*)) in ``steps``, in the depth-first order of the run; other
+    runs leave it None.  A packed run also records its width K
+    (``width_bits``) and the bit length of the largest majorant value
+    (``majorant_bits``); both stay 0 on the RingElement view."""
 
-    steps: list = field(default_factory=list)
+    steps: list | None = None
+    replacements: int = 0
     peak_term_count: int = 0
     final: NcPoly = None
     width_bits: int = 0
     majorant_bits: int = 0
 
-    @property
-    def replacements(self) -> int:
-        return len(self.steps)
-
     def lines(self):
         return [f"{word_string(w)} -> {k} terms @pos {p}" for (w, p, k) in self.steps]
 
 
-def _normalize(terms: dict, expand=None, record: ReductionTrace | None = None) -> dict:
-    """Fixed point of the rule on a raw term dict, by wholesale substitution.
+def _normalize(terms: dict, expand=_RING_VIEW, record: ReductionTrace | None = None) -> dict:
+    """Fixed point of the rule on a raw term dict, depth first over prefix classes.
 
-    ``expand`` is the memo view (module docstring) that gives each block's
-    replacement terms; the default is the ring view.  Words are processed
-    longest-first so shorter duplicates merge before they are expanded;
-    within one length the worklist is insertion-ordered, hence
-    deterministic.  A reducible word lives only in its bucket, so it is
-    popped with its whole coefficient in the running sum of ``result`` and
-    the buckets, and the recorded replacements replay to the same fixed
-    point.  ``live`` counts the terms held in ``result`` and the buckets.
+    A class is a normal prefix (empty, or ending in A*) with the dict of the
+    reducible rests of the words that start with it.  Popping a class moves
+    the first A-run of each rest and the A* after it into the prefix:
+    directly when the run has at most two A's, else through the memo view
+    ``expand`` (module docstring; the default is the ring view), whose
+    words all start with A^j A*, j <= 2.  So a class has at most three
+    children, keyed by j, and a word whose rest is normal goes straight to
+    ``result``, summed there.  A class is filled only by its parent, before
+    it is popped, so every word is expanded once with its whole coefficient,
+    and only one root-to-leaf path of classes (with the siblings still to
+    come) is alive.  ``live`` counts the terms held in ``result`` and in the
+    classes popped or pending.
     """
-    if expand is None:
-        expand = _memo_view(lambda c: c)
-    buckets: dict[int, dict] = {}
-    result: dict = {}
-    for w, c in terms.items():
-        buckets.setdefault(len(w), {})[w] = c
+    result = {w: c for w, c in terms.items() if _REDEX not in w}
+    stack = [("", {w: c for w, c in terms.items() if _REDEX in w})]
     live = len(terms)
     if record is not None:
         record.peak_term_count = max(record.peak_term_count, live)
 
-    while buckets:
-        length = max(buckets)
-        bucket = buckets[length]
-        popped = 0
-        while bucket:
-            # a popped key leaves a dead slot that next(iter(bucket)) walks
-            # over; a copy in the same order drops them once they outnumber
-            # the live keys
-            if popped > len(bucket):
-                bucket = buckets[length] = dict(bucket)
-                popped = 0
-            popped += 1
-            w = next(iter(bucket))
-            c = bucket.pop(w)
-            live -= 1
-            pos = w.find(_REDEX)
-            if pos < 0:  # a normal input word
-                s = result.get(w)
-                if s is None:
-                    result[w] = c
-                    live += 1
+    while stack:
+        prefix, rests = stack.pop()
+        prefixes = (prefix + GEN_ASTAR, prefix + GEN_A + GEN_ASTAR, prefix + GEN_A * 2 + GEN_ASTAR)
+        kids = ({}, {}, {})
+        for w, c in rests.items():
+            n = w.index(GEN_ASTAR)
+            post = w[n + 1:]
+            if n < 3:
+                moves = ((n, post, c),)
+            else:
+                moves = [(j, tail + post, (c * v) << shift if shift else c * v)
+                         for j, tail, v, shift in expand(n, post)]
+            for j, rest, p in moves:
+                if _REDEX in rest:
+                    dest = kids[j]
                 else:
-                    s = s + c
-                    if s:
-                        result[w] = s
-                    else:
-                        del result[w]
-                        live -= 1
-                continue
-            # the leftmost block A^n A*: the whole A-run that ends at pos + 3
-            pre, post = w[:pos].rstrip(GEN_A), w[pos + 4:]
-            start = len(pre)
-            triples = expand(pos + 3 - start, post)
-            for mw, v, shift in triples:
-                nw = pre + mw + post
-                p = c * v
-                if shift:
-                    p <<= shift
-                dest = result if _REDEX not in nw else (
-                    bucket if len(nw) == length else buckets.setdefault(len(nw), {}))
-                s = dest.get(nw)
+                    dest, rest = result, prefixes[j] + rest
+                s = dest.get(rest)
                 if s is None:
-                    dest[nw] = p
+                    dest[rest] = p
                     live += 1
                 else:
                     s = s + p
                     if s:
-                        dest[nw] = s
+                        dest[rest] = s
                     else:
-                        del dest[nw]
+                        del dest[rest]
                         live -= 1
             if record is not None:
-                record.steps.append((w, start, len(triples)))
+                if n >= 3:
+                    record.replacements += 1
+                    if record.steps is not None:
+                        record.steps.append((prefix + w, len(prefix), len(moves)))
                 if live > record.peak_term_count:
                     record.peak_term_count = live
-        del buckets[length]
+        live -= len(rests)
+        for j in (2, 1, 0):
+            if kids[j]:
+                stack.append((prefixes[j], kids[j]))
     return result
 
 
@@ -364,7 +361,7 @@ def normal_form(x: NcPoly) -> NcPoly:
 
 def trace_reduction(x: NcPoly) -> ReductionTrace:
     """normal_form(x), with the record of every block replacement."""
-    trace = ReductionTrace()
+    trace = ReductionTrace(steps=[])
     trace.final = NcPoly(_normalize(x.terms, record=trace))
     return trace
 
@@ -392,13 +389,14 @@ def normal_form_with_stats(x: NcPoly):
     """
     graded = _graded_input(x.terms)
     if graded is None:
-        trace = trace_reduction(x)
+        trace = ReductionTrace()
+        trace.final = NcPoly(_normalize(x.terms, record=trace))
         return trace.final, trace
     degree, polys = graded
     inv = {w: measure(w)[1] for w in polys}
     shift = max(inv[w] - min(p) for w, p in polys.items())
     majorant = _normalize({w: sum(map(abs, p.values())) for w, p in polys.items()},
-                          _memo_view(_l1_norm))
+                          _view(lambda n, mw, c: (_l1_norm(c), 0, 0)))
     bits = max(majorant.values()).bit_length()
     width = bits + 2
     trace = ReductionTrace(width_bits=width, majorant_bits=bits)

@@ -233,12 +233,13 @@ def test_reduce_trace(capsys):
     lines = out.splitlines()
     # one line per block replacement (the word, the term count of NF(A^n A*),
     # the start of the A^n A* block) and the normal form as the last
-    # line; longer words first, the leftmost block of each word
+    # line; depth first: the input words, then the words after A*, A A*
+    # and A^2 A*, the leftmost block of each word
     assert len(lines) == 9
-    assert lines[:3] == ["A^4 A* A^3 A* -> 6 terms @pos 0",
-                         "A^2 A* A^5 A* -> 8 terms @pos 3",
-                         "A A* A^6 A* -> 9 terms @pos 2"]
-    assert lines[-2] == "A^4 A* -> 6 terms @pos 0"
+    assert lines[:3] == ["A^4 A* -> 6 terms @pos 0",
+                         "A^4 A* A^3 A* -> 6 terms @pos 0",
+                         "A* A^7 A* -> 11 terms @pos 1"]
+    assert lines[-2] == "A^2 A* A^3 A* -> 5 terms @pos 3"
     _, plain, _ = run(capsys, "reduce", "A^4 A* + A A^3 A* A^3 A*")
     assert lines[-1] + "\n" == plain
 
