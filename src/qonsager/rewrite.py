@@ -43,9 +43,10 @@ NF(A^n A*), for the block A^n A* followed by the letters ``post``
 c * multiplier, shifted left by ``shift`` bits when that is not 0, and
 sums are tested for zero by ``not s``.  ``_view`` builds three views, one
 per multiplier of a memo term: the memo itself (RingElement coefficients)
-and its majorant (the exact l1 norm of each coefficient, an int), both with
+and its l1 view (the exact l1 norm of each coefficient, an int), both with
 shift 0, and its packing (an odd int and a shift per coefficient).
-``normal_form``, ``trace_reduction`` and ``reduce`` use the first.
+``normal_form``, ``trace_reduction`` and ``reduce`` use the first, the
+width bound ``_mass_bound`` the second.
 
 Packed graded coefficients.  Give A and A* degree 1 and rho0 degree 2;
 the rule is homogeneous and its coefficients have even q-exponents.  So on
@@ -56,9 +57,16 @@ polynomial in X = q^2.  ``normal_form_with_stats`` packs such input:
 1. the coefficient of word w is scaled by X^(-inv(w)) (inv from
    ``measure``), and all of them by one global X^G that leaves no negative
    exponent;
-2. the majorant pass runs the reduction on the l1 norms of the input
-   coefficients with the majorant view;
-3. K = (bit length of the largest final majorant value) + 2;
+2. a path-mass bound B, computed once per distinct rest, without a
+   reduction pass.  Split each word into its normal prefix (empty, or
+   ending in A*; the whole word when it is normal) and its rest, which is
+   empty or starts with its first block A^n A*, n >= 3.  Then U("") = 1,
+   and U(A^n A* post) is the largest over j in {0, 1, 2} of the sum of
+   l1 * U(rest of tail post) over the entries (j, tail, l1) of the l1 view
+   at (n, post).  With the weight of a prefix P the sum of ||c_w||_1 U(rest
+   of w) over the input words w with prefix P, B is the largest sum of
+   weights along a chain of prefixes, each a prefix of the next;
+3. K = (bit length of B) + 2;
 4. the packed pass runs it on the scaled coefficients evaluated at X = 2^K,
    with the packed view: the coefficient of mw in NF(A^n A*) times
    X^(inv(A^n A*) - inv(mw)), a polynomial, evaluated at 2^K and multiplied
@@ -81,20 +89,27 @@ memo), so the reduction is a tree of paths, and every live coefficient, at
 any moment of the packed pass, is a signed sum of distinct path products
 (input coefficient times memo coefficients times powers of X).  By the
 triangle inequality and ||fg|| <= ||f|| ||g|| for the l1 norm, its l1 norm
-is at most the majorant's path mass through that word.  Every memo
-coefficient is nonzero with integer coefficients, so its l1 norm is >= 1
-and the mass through a word is at most the mass that reaches any normal
-word below it, hence at most the largest final majorant value, which is
-below 2^(K-2).  A final majorant value is a sum of nonnegative path
-masses, which no traversal order changes, so the bound holds for the
-depth-first order as for any other.  Evaluation at 2^K is a ring
-homomorphism, and a polynomial whose coefficients all lie below 2^(K-1) in
-absolute value vanishes at 2^K only if it is zero (Cauchy's root bound).  So every zero test of the packed
-pass is exact, it makes the same replacements as the RingElement pass, and
-the unpacked residual is exact.  A scaled memo coefficient with a negative
-X exponent, or an unpacked digit of 2^(K-2) or more, would break this
-argument; both raise ``AssertionError`` (not ``assert``, so the checks stay
-under ``python -O``).
+is at most the path mass through that word: the same sum over l1 norms,
+with no cancellation.  Every memo coefficient is nonzero with integer
+coefficients, so its l1 norm is >= 1, and the mass through a word is at
+most the mass that it sends on to some normal word nu, hence at most the
+total mass M(nu) that reaches nu.  And B bounds every M(nu).  One unit of
+mass at a rest sends at most U of it to any one normal word: the words of
+different j-classes start with different A^j A* and are distinct, so
+summing the members of one class can only over-count.  An input word
+reaches only normal words that start with its normal prefix, so the input
+words that reach nu have prefixes along one chain.  So the l1 norm of
+every live coefficient is at most B < 2^(K-2).  Path masses and B depend
+on the words and the memo only, not on the traversal order, so the bound
+holds for the depth-first order as for any other.  Evaluation at 2^K is a
+ring homomorphism, and a polynomial whose coefficients all lie below
+2^(K-1) in absolute value vanishes at 2^K only if it is zero (Cauchy's
+root bound).  So every zero test of the packed pass is exact, it makes the
+same replacements as the RingElement pass, and the unpacked residual is
+exact.  A scaled memo coefficient with a negative X exponent, or an
+unpacked digit of 2^(K-2) or more, would break this argument; both raise
+``AssertionError`` (not ``assert``, so the checks stay under
+``python -O``).
 """
 
 from __future__ import annotations
@@ -276,8 +291,9 @@ class ReductionTrace:
     also keeps every replacement as (word, start of its A^n A* block, terms
     of NF(A^n A*)) in ``steps``, in the depth-first order of the run; other
     runs leave it None.  A packed run also records its width K
-    (``width_bits``) and the bit length of the largest majorant value
-    (``majorant_bits``); both stay 0 on the RingElement view."""
+    (``width_bits``) and the bit length of the path-mass bound B that
+    proves it (``majorant_bits``, K - 2); both stay 0 on the RingElement
+    view."""
 
     steps: list | None = None
     replacements: int = 0
@@ -381,6 +397,45 @@ def _graded_input(terms: dict):
     return (degree, polys) if polys else None
 
 
+def _block_rest(w: str) -> str:
+    """w without its normal prefix: from the A-run of its first A^3 A* on,
+    or "" when w is normal."""
+    p = w.find(_REDEX)
+    return w[w.rfind(GEN_ASTAR, 0, p) + 1:] if p >= 0 else ""
+
+
+def _mass_bound(terms: dict) -> int:
+    """The bound B of step 2 of the module docstring for terms {w: int >= 0}:
+    U on the l1 memo view, memoized per distinct rest and evaluated with an
+    explicit stack (A^3 A*^m is a chain m rests deep), then the largest
+    weight sum along a chain of prefixes."""
+    view = _view(lambda n, mw, c: (_l1_norm(c), 0, 0))
+    mass = {"": 1}
+    rests = {w: _block_rest(w) for w in terms}
+    stack = list(rests.values())
+    while stack:
+        rest = stack[-1]
+        if rest in mass:
+            stack.pop()
+            continue
+        n = rest.index(GEN_ASTAR)
+        post = rest[n + 1:]
+        kids = [(j, v, _block_rest(tail + post)) for j, tail, v, _ in view(n, post)]
+        todo = [k for _, _, k in kids if k not in mass]
+        if todo:
+            stack += todo
+            continue
+        sums = [0, 0, 0]
+        for j, v, k in kids:
+            sums[j] += v * mass[k]
+        mass[stack.pop()] = max(sums)
+    weight: dict[str, int] = {}
+    for w, c in terms.items():
+        prefix = w[:len(w) - len(rests[w])]
+        weight[prefix] = weight.get(prefix, 0) + c * mass[rests[w]]
+    return max(sum(weight.get(p[:i], 0) for i in range(len(p) + 1)) for p in weight)
+
+
 def normal_form_with_stats(x: NcPoly):
     """(normal_form(x), its ReductionTrace with the replacement and peak counts).
 
@@ -395,9 +450,7 @@ def normal_form_with_stats(x: NcPoly):
     degree, polys = graded
     inv = {w: measure(w)[1] for w in polys}
     shift = max(inv[w] - min(p) for w, p in polys.items())
-    majorant = _normalize({w: sum(map(abs, p.values())) for w, p in polys.items()},
-                          _view(lambda n, mw, c: (_l1_norm(c), 0, 0)))
-    bits = max(majorant.values()).bit_length()
+    bits = _mass_bound({w: sum(map(abs, p.values())) for w, p in polys.items()}).bit_length()
     width = bits + 2
     trace = ReductionTrace(width_bits=width, majorant_bits=bits)
     packed = _normalize({w: pack_poly(p, width, shift - inv[w]) for w, p in polys.items()},

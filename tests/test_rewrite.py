@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -263,12 +264,19 @@ def sabotaged_table(r, p, j, delta):
     return CoeffTable(r=r, route="genfun+sabotage", entries=entries)
 
 
-def test_packed_view_agrees_on_sabotaged_tables():
+def seeded_sabotages():
+    """Six seeded (r, p, j, delta) entry offsets for ``sabotaged_table``."""
     rng = random.Random(41)
+    out = []
     for r in (3, 4, 5, 3, 4, 5):
         p = rng.randrange(r + 1)
         j = rng.randrange(2 * (r - p) + 2)
-        delta = rng.choice((-3, -2, -1, 1, 2, 3))
+        out.append((r, p, j, rng.choice((-3, -2, -1, 1, 2, 3))))
+    return out
+
+
+def test_packed_view_agrees_on_sabotaged_tables():
+    for r, p, j, delta in seeded_sabotages():
         nf = assert_views_agree(build_relation_lhs(sabotaged_table(r, p, j, delta)))
         assert not nf.is_zero(), (r, p, j, delta)
     # the p = r row multiplies the normal word A A*^r: a one-term residual
@@ -314,9 +322,47 @@ def test_ungraded_input_takes_the_ring_view():
 
 
 def test_packed_width_is_pinned():
-    for r, expected in {5: (39, 37), 6: (51, 49)}.items():
+    for r, expected in {5: (40, 38), 6: (52, 50)}.items():
         _, stats = normal_form_with_stats(build_relation_lhs(coeff_table(r, "genfun")))
         assert (stats.width_bits, stats.majorant_bits) == expected, r
+
+
+def majorant_pass_bits(x):
+    """The bit length of the largest value that the reduction on l1 norms
+    (the l1 memo view, no cancellation) leaves: the tightest bound of the
+    path masses, kept here as the oracle of ``majorant_bits``."""
+    _, polys = rewrite._graded_input(x.terms)
+    final = rewrite._normalize({w: sum(map(abs, p.values())) for w, p in polys.items()},
+                               rewrite._view(lambda n, mw, c: (rewrite._l1_norm(c), 0, 0)))
+    return max(final.values()).bit_length()
+
+
+def test_mass_bound_dominates_the_majorant_pass():
+    inputs = [build_relation_lhs(coeff_table(r, "genfun")) for r in range(1, 8)]
+    inputs += [build_relation_lhs(sabotaged_table(*s)) for s in seeded_sabotages()]
+    inputs.append(build_relation_lhs(sabotaged_table(5, 5, 0, 1)))
+    # a normal input word that the reducible one also reaches: 3 + 126 = 129
+    # needs 8 bits, so the two weights must add along the chain "" < "aasa"
+    c = RingElement.from_laurent(LaurentPoly({0: 126}))
+    inputs.append(A ** 3 * ASTAR + c * (A ** 2 * ASTAR * A))
+    rng = random.Random(43)
+    inputs += [rand_graded(rng, rng.randint(4, 13), rng.randint(1, 8)) for _ in range(40)]
+    for x in inputs:
+        if x.is_zero():
+            continue
+        old = majorant_pass_bits(x)
+        bits = normal_form_with_stats(x)[1].majorant_bits
+        # the lower bound is soundness; the upper one keeps K, and with it
+        # the cost of every packed product, near the tightest bound
+        assert old <= bits <= old + 2, (old, bits, x)
+
+
+def test_mass_bound_needs_no_recursion():
+    # one A^3 A* block per A*, m levels deep: U(A^3 A*^m) = m + 3
+    m = 2 * sys.getrecursionlimit()
+    start = time.process_time()
+    assert rewrite._mass_bound({"aaa" + "s" * m: 1}) == m + 3
+    assert time.process_time() - start < 1.0
 
 
 @pytest.mark.parametrize("width", [39, 51, 64])
@@ -336,11 +382,11 @@ def test_packed_multipliers_are_odd_mantissas_of_the_shifted_heads(width):
 
 
 def test_too_narrow_width_raises(monkeypatch):
-    # with every memo coefficient's l1 norm understated as 1 the majorant
-    # counts paths, so K comes out 22 instead of the proved 39, and the
+    # with every memo coefficient's l1 norm understated as 1 the mass bound
+    # counts paths, so K comes out 24 instead of the proved 40, and the
     # residual coefficients of this table overflow their slots
     x = build_relation_lhs(sabotaged_table(5, 0, 0, 1))
-    assert normal_form_with_stats(x)[1].width_bits == 39
+    assert normal_form_with_stats(x)[1].width_bits == 40
     monkeypatch.setattr(rewrite, "_l1_norm", lambda c: 1)
     with pytest.raises(AssertionError, match="packed digit reaches"):
         normal_form_with_stats(x)
