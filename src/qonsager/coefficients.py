@@ -11,6 +11,10 @@ The naive weight C(r-p, floor((j-k)/2)) overcounts from r=3 on, first at
 (r,p,j)=(3,0,3); the expansion combinatorics give C(r-p-k, floor((j-k)/2)).
 Both stay available through the ``literal`` flag, corrected is the default.
 
+Routes 1 and 2 expand their products one factor at a time, each step
+evaluating all its new coefficients in one ``ProductSum`` call; Route 1 leaves
+the power of rho0 implicit (``_reduced_expansions`` says why that is sound).
+
 Route 3 (``recursion_coeffs``): the inductive r -> r+1 step through the
 M/N/eta recursion tables; every division is exact and asserted.
 
@@ -24,9 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .exactring import (_SCHOOLBOOK_PAIRS, LaurentPoly, ProductSum, RingElement, SparseSum,
-                        pair_add, sums_of_products)
-from .qnumbers import beta_s, qbinomial, qint, reduced_tridiagonal_params
+from .exactring import LaurentPoly, ProductSum
+from .qnumbers import qbinomial, reduced_tridiagonal_params
 from .rewrite import ETA
 
 ROUTES = ("genfun", "closed", "closed-literal", "recursion", "lusztig")
@@ -109,87 +112,33 @@ def lusztig_coeffs(r: int) -> CoeffTable:
 # ---------------------------------------------------------------------------
 
 
-def _q_terms(coeff) -> int:
-    """The number of q-terms of an _XYPoly coefficient; 1 for a scalar that
-    is not a LaurentPoly or a RingElement."""
-    if isinstance(coeff, RingElement):
-        return sum([len(p.terms) for p in coeff.terms.values()])
-    return len(coeff.terms) if isinstance(coeff, LaurentPoly) else 1
+def _times(poly: dict, factor: dict) -> dict:
+    """poly times factor, both {(i, j): scalar} in commuting x, y, with no sum
+    tested for zero.  Any scalars with + and * do: ints, Fractions,
+    RingElements, or ProductSum leaves times LaurentPolys (``_expanded``)."""
+    out = {}
+    for (i, j), a in poly.items():
+        for (di, dj), c in factor.items():
+            key = (i + di, j + dj)
+            out[key] = out[key] + a * c if key in out else a * c
+    return out
 
 
-def _rho_parts(coeff):
-    """An _XYPoly coefficient as its rank (0 int, 1 LaurentPoly, 2
-    RingElement) and its [(rho key, weight, factors)]; None for any other
-    scalar."""
-    if isinstance(coeff, int):
-        return 0, [((0, 0), coeff, ())]
-    if isinstance(coeff, LaurentPoly):
-        return 1, [((0, 0), 1, (coeff,))]
-    if isinstance(coeff, RingElement):
-        return 2, [(rho, 1, (p,)) for rho, p in coeff.terms.items()]
-    return None
+def _expanded(poly: dict, factor: dict) -> dict:
+    """poly times factor over LaurentPoly coefficients: every sum of the
+    product is collected as a ProductSum and all are evaluated in one call."""
+    sums = _times({key: ProductSum.of(a) for key, a in poly.items()}, factor)
+    return {key: v for key, v in zip(sums, ProductSum.evaluate_all(sums.values())) if v}
 
 
-class _XYPoly(SparseSum):
-    """Polynomial in two commuting variables, {(i, j): scalar}; scalars are
-    ints, LaurentPolys, RingElements or Fractions."""
-
-    __slots__ = ()
-    _unit = (0, 0)
-    _key_mul = staticmethod(pair_add)
-
-    def __mul__(self, other):
-        # over int, LaurentPoly and RingElement coefficients each (x, y key,
-        # rho key) of the product is one sum of a single sums_of_products; a
-        # product that meets any other scalar, or none of whose sums can
-        # reach the term pairs that packing needs, takes the generic product
-        if not isinstance(other, _XYPoly):
-            return super().__mul__(other)
-        left = list(map(_q_terms, self.terms.values()))
-        right = list(map(_q_terms, other.terms.values()))
-        # a sum pairs each left coefficient with at most one right one
-        if min(max(left, default=0) * sum(right),
-               sum(left) * max(right, default=0)) < _SCHOOLBOOK_PAIRS:
-            return super().__mul__(other)
-        left = [(k, _rho_parts(c)) for k, c in self.terms.items()]
-        right = [(k, _rho_parts(c)) for k, c in other.terms.items()]
-        if any(parts is None for _, parts in left + right):
-            return super().__mul__(other)
-        ranks = {}  # (x, y key) -> rank of its coefficient
-        sums = {}   # (x, y key, rho key) -> products
-        for (i1, j1), (rank1, parts1) in left:
-            for (i2, j2), (rank2, parts2) in right:
-                key = (i1 + i2, j1 + j2)
-                ranks[key] = max(ranks.get(key, 0), rank1, rank2)
-                for rho1, k1, f1 in parts1:
-                    for rho2, k2, f2 in parts2:
-                        sums.setdefault((key, pair_add(rho1, rho2)), []).append((k1 * k2, f1 + f2))
-        values = {key: {} for key in ranks}
-        for (key, rho), value in zip(sums, sums_of_products(sums.values())):
-            if value:
-                values[key][rho] = LaurentPoly._wrap(value)
-        out = {}
-        for key, rank in ranks.items():
-            parts = values[key]
-            if parts:
-                out[key] = (parts[(0, 0)].terms[0] if rank == 0 else
-                            parts[(0, 0)] if rank == 1 else RingElement._wrap(parts))
-        return _XYPoly._wrap(out)
-
-
-_GENFUN_SEED = _XYPoly({(1, 0): 1, (0, 1): -1})  # x - y
-
-
-def _genfun_factor(step) -> _XYPoly:
-    """x^2 - beta_s xy + y^2 - gamma_s (x+y) - delta_s for one parameter step."""
-    factor = {(2, 0): 1, (0, 2): 1}
-    factor[(1, 1)] = -step.beta
-    if step.gamma:
-        factor[(1, 0)] = -step.gamma
-        factor[(0, 1)] = -step.gamma
-    if step.delta:
-        factor[(0, 0)] = -step.delta
-    return _XYPoly(factor)
+def _genfun_factor(beta, gamma, delta) -> dict:
+    """x^2 - beta xy + y^2 - gamma (x+y) - delta, leaving out a falsy gamma or delta."""
+    factor = {(2, 0): 1, (0, 2): 1, (1, 1): -beta}
+    if gamma:
+        factor[(1, 0)] = factor[(0, 1)] = -gamma
+    if delta:
+        factor[(0, 0)] = -delta
+    return factor
 
 
 def genfun_polynomial(r: int, params) -> dict:
@@ -199,10 +148,35 @@ def genfun_polynomial(r: int, params) -> dict:
     params = list(params)
     if len(params) != r:
         raise ValueError(f"need exactly r={r} parameter steps, got {len(params)}")
-    poly = _GENFUN_SEED
+    poly = {(1, 0): 1, (0, 1): -1}  # x - y
     for step in params:
-        poly = poly * _genfun_factor(step)
-    return poly.terms
+        poly = _times(poly, _genfun_factor(step.beta, step.gamma, step.delta))
+        poly = {key: a for key, a in poly.items() if a}
+    return poly
+
+
+def _reduced_step(s: int) -> tuple:
+    """(beta_s, [s]^2_{q^2}) as LaurentPolys: the beta_s and delta_s / rho0 of
+    ``reduced_tridiagonal_params(s)``."""
+    step = reduced_tridiagonal_params(s)
+    return step.beta.terms[(0, 0)], step.delta.terms[(1, 0)]
+
+
+def _reduced_expansions(r_max: int):
+    """Yield the reduced generating polynomial for r = 1..r_max as
+    {(i, j): LaurentPoly}, the rho0 power (2r+1-i-j)/2 of a_(i, j) left
+    implicit: a factor step is a_new(i, j) = a(i-2, j) + a(i, j-2)
+    - beta_s a(i-1, j-1) - [s]^2_{q^2} a(i, j).
+
+    That is sound because each factor is homogeneous of degree 2 when x and y
+    have degree 1 and rho0 has degree 2: beta_s is rho0-free and delta_s =
+    [s]^2_{q^2} rho0.  So every term a_(i, j) x^i y^j of the product has
+    degree 2r+1, and a_(i, j) is a LaurentPoly times rho0^((2r+1-i-j)/2)."""
+    poly = {(1, 0): LaurentPoly.one(), (0, 1): -LaurentPoly.one()}
+    for s in range(1, r_max + 1):
+        beta, square = _reduced_step(s)
+        poly = _expanded(poly, _genfun_factor(beta, 0, square))
+        yield poly
 
 
 @dataclass
@@ -230,22 +204,21 @@ def reduced_genfun_coeffs(r: int) -> CoeffTable:
     """Fill the c-table from the reduced generating polynomial (rho0 formal)."""
     if r < 1:
         raise ValueError("need r >= 1")
-    return _reduced_table(
-        r, genfun_polynomial(r, [reduced_tridiagonal_params(s) for s in range(1, r + 1)]))
+    for poly in _reduced_expansions(r):
+        pass  # keep only the last expansion
+    return _reduced_table(r, poly)
 
 
 def _reduced_table(r: int, poly: dict) -> CoeffTable:
-    """The c-table of the reduced generating polynomial's expansion at this r."""
+    """The c-table of the reduced generating polynomial's expansion at this r,
+    {(i, j): LaurentPoly} with rho0 implicit (``_reduced_expansions``)."""
     entries = {}
     for (i, j), value in poly.items():
-        value = RingElement._coerce(value)
         rem = 2 * r + 1 - i - j
         if rem < 0 or rem % 2:
             raise AssertionError(f"stray monomial x^{i} y^{j} in the expansion")
         p = rem // 2
-        if set(value.terms) != {(p, 0)}:
-            raise AssertionError(f"a_({i},{j}) is not homogeneous of rho0-degree {p}")
-        entries[(p, j)] = _sgn(j + p) * value.terms[(p, 0)]
+        entries[(p, j)] = _sgn(j + p) * value
     for p in range(r + 1):
         for j in range(2 * (r - p) + 2):
             entries.setdefault((p, j), LaurentPoly.zero())
@@ -257,21 +230,19 @@ def _reduced_table(r: int, poly: dict) -> CoeffTable:
 # ---------------------------------------------------------------------------
 
 
-_FAMILY_SEED = _XYPoly({(0, 0): LaurentPoly.one()})
-
-
-def _family_factor(s: int) -> _XYPoly:
+def _family_factor(s: int) -> dict:
     """1 + u [s]^2_{q^2} + v beta_s, the closed route's factor for one s."""
-    return _XYPoly({(0, 0): LaurentPoly.one(), (1, 0): qint(s, base=2) ** 2, (0, 1): beta_s(s)})
+    beta, square = _reduced_step(s)
+    return {(0, 0): 1, (1, 0): square, (0, 1): beta}
 
 
 def _family_sums(r: int) -> dict:
     """{(p, k): u^p v^k coefficient of prod_{s<=r} (1 + u [s]^2_{q^2} + v beta_s)}, the
     sums over disjoint families of p squared q^2-integers and k beta factors."""
-    sums = _FAMILY_SEED
+    sums = {(0, 0): LaurentPoly.one()}
     for s in range(1, r + 1):
-        sums = sums * _family_factor(s)
-    return sums.terms
+        sums = _expanded(sums, _family_factor(s))
+    return sums
 
 
 def closedform_coeff(r: int, p: int, j: int, literal: bool = False) -> LaurentPoly:
@@ -576,15 +547,13 @@ def coeff_tables(r_max: int, route: str = "genfun"):
     if r_max < 1:
         return
     if route == "genfun":
-        poly = _GENFUN_SEED
-        for r in range(1, r_max + 1):
-            poly = poly * _genfun_factor(reduced_tridiagonal_params(r))
-            yield _reduced_table(r, poly.terms)
+        for r, poly in enumerate(_reduced_expansions(r_max), 1):
+            yield _reduced_table(r, poly)
     elif route in ("closed", "closed-literal"):
-        sums = _FAMILY_SEED
+        sums = {(0, 0): LaurentPoly.one()}
         for r in range(1, r_max + 1):
-            sums = sums * _family_factor(r)
-            yield _closed_table(r, route == "closed-literal", sums.terms)
+            sums = _expanded(sums, _family_factor(r))
+            yield _closed_table(r, route == "closed-literal", sums)
     elif route == "recursion":
         table = seed_table()
         yield table
@@ -618,10 +587,10 @@ def coeff_table(r: int, route: str = "genfun") -> CoeffTable:
 
 def qbinom_product_coeffs(r: int) -> list[LaurentPoly]:
     """Coefficients of prod_{m=0}^{2r} (1 - q^{2m} u) as a polynomial in u."""
-    prod = _XYPoly({(0, 0): LaurentPoly.one()})
+    prod = {(0, 0): LaurentPoly.one()}
     for m in range(2 * r + 1):
-        prod = prod * _XYPoly({(0, 0): LaurentPoly.one(), (1, 0): -LaurentPoly.q_power(2 * m)})
-    return [prod.terms.get((d, 0), LaurentPoly.zero()) for d in range(2 * r + 2)]
+        prod = _expanded(prod, {(0, 0): 1, (1, 0): -LaurentPoly.q_power(2 * m)})
+    return [prod.get((d, 0), LaurentPoly.zero()) for d in range(2 * r + 2)]
 
 
 def qbinom_theorem_coeffs(r: int) -> list[LaurentPoly]:

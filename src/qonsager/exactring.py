@@ -399,7 +399,6 @@ class SparseSum:
     """
 
     __slots__ = ("terms",)
-    _scalars = ()
 
     def __init__(self, terms=None):
         self.terms = {k: c for k, c in terms.items() if c} if terms else {}
@@ -559,16 +558,7 @@ class LaurentPoly(SparseSum):
             elif len(a) * len(b) >= _SCHOOLBOOK_PAIRS:
                 out = _accumulate([([(1, 0, [a, b])], len(a) * len(b))])[0]
             else:
-                # _schoolbook, inlined: most products in reduction are small
-                out = {}
-                for e1, c1 in a.items():
-                    for e2, c2 in b.items():
-                        e = e1 + e2
-                        s = out.get(e, 0) + c1 * c2
-                        if s:
-                            out[e] = s
-                        elif e in out:
-                            del out[e]
+                out = _schoolbook(a, b)
         elif isinstance(other, int):
             out = {e: c * other for e, c in self.terms.items()} if other else {}
         else:

@@ -159,6 +159,18 @@ def test_verify_both_families(capsys):
     assert [(d["r"], d["family"]) for d in docs] == [(1, 1), (1, 2), (2, 1), (2, 2)]
 
 
+def test_verify_both_families_reduces_once_per_r(capsys, monkeypatch):
+    # family 2 is the dagger image of the family-1 reduction, not a second one
+    reduced = []
+    reduce = qonsager.verify.normal_form_with_stats
+    monkeypatch.setattr(qonsager.verify, "normal_form_with_stats",
+                        lambda lhs: reduced.append(lhs) or reduce(lhs))
+    code, out, _ = run(capsys, "verify", "--r-max", "4", "--family", "both")
+    assert code == EXIT_OK
+    assert len(out.strip().splitlines()) == 8
+    assert len(reduced) == 4
+
+
 def test_verify_sabotage_requires_test_hooks(monkeypatch, capsys):
     monkeypatch.delenv("QONSAGER_TEST_HOOKS", raising=False)
     code, _, err = run(capsys, "verify", "--r-max", "2", "--sabotage", "c:2,0,1:+1")

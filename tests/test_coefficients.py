@@ -235,6 +235,34 @@ def test_closed_tables_share_one_running_product(route, monkeypatch):
     assert made == list(range(1, 9))
 
 
+@pytest.mark.parametrize("route", ("genfun", "closed"))
+def test_each_factor_step_evaluates_its_sums_in_one_call(route, monkeypatch):
+    # the sums of one factor step share one packed width and their common
+    # operands are packed once; evaluating them key by key would not
+    calls = []
+    evaluate = qonsager.exactring.sums_of_products
+    monkeypatch.setattr(qonsager.exactring, "sums_of_products",
+                        lambda sums: calls.append(route) or evaluate(sums))
+    assert [t.r for t in coeff_tables(8, route)] == list(range(1, 9))
+    assert len(calls) == 8
+
+
+def test_reduced_expansion_is_homogeneous_in_rho0():
+    # the genfun route leaves the rho0 power of a_(i, j) implicit; the generic
+    # expansion with formal rho0 shows that it is (2r+1-i-j)/2 and that the
+    # two expansions give the same table
+    for r in range(1, 7):
+        general = genfun_coeffs(r, [reduced_tridiagonal_params(s) for s in range(1, r + 1)])
+        expected = {}
+        for (i, j), value in general.entries.items():
+            p, odd = divmod(2 * r + 1 - i - j, 2)
+            value = RingElement.one() * value
+            assert odd == 0 and set(value.terms) == {(p, 0)}, (r, i, j)
+            expected[(p, j)] = (-1) ** (j + p) * value.terms[(p, 0)]
+        for (p, j), value in reduced_genfun_coeffs(r).items_sorted():
+            assert value == expected.get((p, j), LaurentPoly.zero()), (r, p, j)
+
+
 def test_symmetry_and_structural_properties_to_r8():
     # palindromic symmetry is asserted by .check(); on top of that the
     # entries are observed (a regression property, not a theorem) to be bar-invariant with

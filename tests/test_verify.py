@@ -91,6 +91,18 @@ def test_family_two_certified_by_the_automorphism():
     assert report.family == 2
 
 
+def test_family_two_report_carries_the_dagger_of_a_nonzero_residual():
+    table = reduced_genfun_coeffs(2)
+    entries = dict(table.entries)
+    entries[(1, 1)] = entries[(1, 1)] + 1
+    perturbed = CoeffTable(r=2, route="genfun+perturbed", entries=entries)
+    first = verify_relation(2, table=perturbed)
+    second = verify_relation(2, family=2, table=perturbed)
+    assert not second.ok() and second.certified_by == "automorphism"
+    assert second.residual == first.residual.dagger() != first.residual
+    assert second.residual_term_count == first.residual_term_count > 0
+
+
 def test_uniqueness_negative_control():
     table = reduced_genfun_coeffs(2)
     entries = dict(table.entries)
