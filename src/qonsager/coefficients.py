@@ -11,9 +11,12 @@ The naive weight C(r-p, floor((j-k)/2)) overcounts from r=3 on, first at
 (r,p,j)=(3,0,3); the expansion combinatorics give C(r-p-k, floor((j-k)/2)).
 Both stay available through the ``literal`` flag, corrected is the default.
 
-Routes 1 and 2 expand their products one factor at a time, each step
-evaluating all its new coefficients in one ``ProductSum`` call; Route 1 leaves
-the power of rho0 implicit (``_reduced_expansions`` says why that is sound).
+Routes 1 and 2, and the q-binomial product, multiply one factor at a time as
+one running product (``exactring.running_product``): each coefficient stays
+one packed int from the first factor to the last, and only the steps that a
+caller reads are unpacked, the last one for ``coeff_table(r)`` and one per r
+for ``coeff_tables``.  Route 1 leaves the power of rho0 implicit
+(``_reduced_expansions`` says why that is sound).
 
 Route 3 (``recursion_coeffs``): the inductive r -> r+1 step through the
 M/N/eta recursion tables; every division is exact and asserted.
@@ -28,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .exactring import LaurentPoly, ProductSum
+from .exactring import LaurentPoly, ProductSum, _times, running_product
 from .qnumbers import qbinomial, reduced_tridiagonal_params
 from .rewrite import ETA
 
@@ -112,25 +115,6 @@ def lusztig_coeffs(r: int) -> CoeffTable:
 # ---------------------------------------------------------------------------
 
 
-def _times(poly: dict, factor: dict) -> dict:
-    """poly times factor, both {(i, j): scalar} in commuting x, y, with no sum
-    tested for zero.  Any scalars with + and * do: ints, Fractions,
-    RingElements, or ProductSum leaves times LaurentPolys (``_expanded``)."""
-    out = {}
-    for (i, j), a in poly.items():
-        for (di, dj), c in factor.items():
-            key = (i + di, j + dj)
-            out[key] = out[key] + a * c if key in out else a * c
-    return out
-
-
-def _expanded(poly: dict, factor: dict) -> dict:
-    """poly times factor over LaurentPoly coefficients: every sum of the
-    product is collected as a ProductSum and all are evaluated in one call."""
-    sums = _times({key: ProductSum.of(a) for key, a in poly.items()}, factor)
-    return {key: v for key, v in zip(sums, ProductSum.evaluate_all(sums.values())) if v}
-
-
 def _genfun_factor(beta, gamma, delta) -> dict:
     """x^2 - beta xy + y^2 - gamma (x+y) - delta, leaving out a falsy gamma or delta."""
     factor = {(2, 0): 1, (0, 2): 1, (1, 1): -beta}
@@ -163,20 +147,18 @@ def _reduced_step(s: int) -> tuple:
 
 
 def _reduced_expansions(r_max: int):
-    """Yield the reduced generating polynomial for r = 1..r_max as
-    {(i, j): LaurentPoly}, the rho0 power (2r+1-i-j)/2 of a_(i, j) left
-    implicit: a factor step is a_new(i, j) = a(i-2, j) + a(i, j-2)
-    - beta_s a(i-1, j-1) - [s]^2_{q^2} a(i, j).
+    """Yield, for r = 1..r_max, a function that returns the reduced generating
+    polynomial as {(i, j): LaurentPoly} (``exactring.running_product``), the
+    rho0 power (2r+1-i-j)/2 of a_(i, j) left implicit: a factor step is
+    a_new(i, j) = a(i-2, j) + a(i, j-2) - beta_s a(i-1, j-1) - [s]^2_{q^2} a(i, j).
 
     That is sound because each factor is homogeneous of degree 2 when x and y
     have degree 1 and rho0 has degree 2: beta_s is rho0-free and delta_s =
     [s]^2_{q^2} rho0.  So every term a_(i, j) x^i y^j of the product has
     degree 2r+1, and a_(i, j) is a LaurentPoly times rho0^((2r+1-i-j)/2)."""
-    poly = {(1, 0): LaurentPoly.one(), (0, 1): -LaurentPoly.one()}
-    for s in range(1, r_max + 1):
-        beta, square = _reduced_step(s)
-        poly = _expanded(poly, _genfun_factor(beta, 0, square))
-        yield poly
+    factors = [_genfun_factor(beta, 0, square)
+               for beta, square in map(_reduced_step, range(1, r_max + 1))]
+    return running_product({(1, 0): 1, (0, 1): -1}, factors)
 
 
 @dataclass
@@ -204,9 +186,9 @@ def reduced_genfun_coeffs(r: int) -> CoeffTable:
     """Fill the c-table from the reduced generating polynomial (rho0 formal)."""
     if r < 1:
         raise ValueError("need r >= 1")
-    for poly in _reduced_expansions(r):
-        pass  # keep only the last expansion
-    return _reduced_table(r, poly)
+    for expansion in _reduced_expansions(r):
+        pass  # unpack only the last expansion
+    return _reduced_table(r, expansion())
 
 
 def _reduced_table(r: int, poly: dict) -> CoeffTable:
@@ -239,10 +221,14 @@ def _family_factor(s: int) -> dict:
 def _family_sums(r: int) -> dict:
     """{(p, k): u^p v^k coefficient of prod_{s<=r} (1 + u [s]^2_{q^2} + v beta_s)}, the
     sums over disjoint families of p squared q^2-integers and k beta factors."""
-    sums = {(0, 0): LaurentPoly.one()}
-    for s in range(1, r + 1):
-        sums = _expanded(sums, _family_factor(s))
-    return sums
+    for sums in _family_runs(r):
+        pass  # unpack only the last product
+    return sums()
+
+
+def _family_runs(r_max: int):
+    """Yield, for r = 1..r_max, a function that returns ``_family_sums(r)``."""
+    return running_product({(0, 0): 1}, [_family_factor(s) for s in range(1, r_max + 1)])
 
 
 def closedform_coeff(r: int, p: int, j: int, literal: bool = False) -> LaurentPoly:
@@ -547,13 +533,11 @@ def coeff_tables(r_max: int, route: str = "genfun"):
     if r_max < 1:
         return
     if route == "genfun":
-        for r, poly in enumerate(_reduced_expansions(r_max), 1):
-            yield _reduced_table(r, poly)
+        for r, expansion in enumerate(_reduced_expansions(r_max), 1):
+            yield _reduced_table(r, expansion())
     elif route in ("closed", "closed-literal"):
-        sums = {(0, 0): LaurentPoly.one()}
-        for r in range(1, r_max + 1):
-            sums = _expanded(sums, _family_factor(r))
-            yield _closed_table(r, route == "closed-literal", sums)
+        for r, sums in enumerate(_family_runs(r_max), 1):
+            yield _closed_table(r, route == "closed-literal", sums())
     elif route == "recursion":
         table = seed_table()
         yield table
@@ -587,10 +571,11 @@ def coeff_table(r: int, route: str = "genfun") -> CoeffTable:
 
 def qbinom_product_coeffs(r: int) -> list[LaurentPoly]:
     """Coefficients of prod_{m=0}^{2r} (1 - q^{2m} u) as a polynomial in u."""
-    prod = {(0, 0): LaurentPoly.one()}
-    for m in range(2 * r + 1):
-        prod = _expanded(prod, {(0, 0): 1, (1, 0): -LaurentPoly.q_power(2 * m)})
-    return [prod.get((d, 0), LaurentPoly.zero()) for d in range(2 * r + 2)]
+    factors = [{(0,): 1, (1,): LaurentPoly.q_power(2 * m, -1)} for m in range(2 * r + 1)]
+    for prod in running_product({(0,): 1}, factors):
+        pass  # unpack only the whole product
+    prod = prod()
+    return [prod.get((d,), LaurentPoly.zero()) for d in range(2 * r + 2)]
 
 
 def qbinom_theorem_coeffs(r: int) -> list[LaurentPoly]:

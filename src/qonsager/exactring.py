@@ -52,7 +52,8 @@ the largest B of its packed sums, below 2^(K-2) for K = bit_length(B) + 2.
 For a lone product a b, B = min(|a|_inf |b|_1, |a|_1 |b|_inf), never more
 than min(len a, len b) max|a| max|b|.  W is K, rounded up to 8, 16, 32 or
 64 bits when K is at most 64 (the digits then move through ``array`` as
-machine words).  The balanced base-2^W digits of an int, each in
+machine words) and to a multiple of 8 above (they then move as bytes).  The
+balanced base-2^W digits of an int, each in
 [-2^(W-1), 2^(W-1)), are unique, so a sum of c_k 2^(Wk) with every |c_k|
 below 2^(W-1) has exactly the c_k as its digits: the digits of the packed
 total are the coefficients of S.  There is no fixed width, and nothing
@@ -60,6 +61,28 @@ wraps.  The same codec carries ``rewrite``'s packed reduction, whose width
 argument is in that module's docstring.  ``pack_poly`` still checks every
 slot and ``unpack_poly`` every digit against 2^(W-2), and both raise
 ``AssertionError`` (not ``assert``, so the checks stay under ``python -O``).
+
+The running product, ``running_product``, multiplies start f_1 ... f_s one
+factor at a time over {key tuple: LaurentPoly or int}, the keys being the
+exponents of further commuting variables (x and y in ``coefficients``).
+Each key's coefficient is one int for the whole run, packed at one width W
+and one stride g: g is the gcd of the exponent gaps of the start and of
+every factor, each counted from its own least exponent, and a partial
+product is read from the sum of their least exponents.  A factor's term
+scales each packed int by its coefficient, as shifted int multiples for a
+one-term or sparse coefficient (beta_s = q^(2s) + q^(-2s) is two shifts) or
+as one int product with the coefficient's packing otherwise, and adds it at
+its key.  Every step yields a function that unpacks it, so a caller unpacks
+only the steps it reads.  Why W suffices: write |P|_1 for the sum of the
+absolute values of all coefficients over all keys of P.  A coefficient of
+start f_1 ... f_s, or of a partial sum of the step that builds it, is a sum
+of products of one coefficient of each operand, so by the triangle
+inequality it is at most |start|_1 prod_t |f_t|_1, and no more than
+B = |start|_1 prod_s |f_s|_1 over the whole run, since a nonzero factor has
+|f|_1 >= 1.  B also bounds every coefficient that is packed.  W comes from
+B as above, and ``unpack_poly`` checks every digit it reads.  A run that
+spans at least as many slots as it has term pairs goes through the generic
+product ``_times`` instead.
 
 Rational numbers for matrix evaluation are ``fractions.Fraction``.
 """
@@ -70,6 +93,7 @@ import operator
 import sys
 from array import array
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
 Rational = Fraction
@@ -100,7 +124,7 @@ _WORD_CODES = {array(code).itemsize * 8: code for code in "bhiq"}
 
 def _slot_bias(width: int, slots: int) -> int:
     """The int with 2^(width-1) in each of ``slots`` base-2^width digits."""
-    if width in _WORD_CODES:
+    if width % 8 == 0:
         return int.from_bytes((bytes(width // 8 - 1) + b"\x80") * slots, "little")
     return int(("1" + "0" * (width - 1)) * slots, 2)
 
@@ -152,6 +176,11 @@ def pack_poly(poly: dict, width: int, offset: int = 0, stride: int = 1) -> int:
 def unpack_poly(value: int, width: int, base: int = 0, stride: int = 1) -> dict:
     """The balanced base-2^width digits of value, {base + stride * position:
     digit != 0}; each digit must lie below 2^(width-2) in absolute value."""
+    if value:
+        # the empty slots below the first nonzero digit are a shift
+        low = ((value & -value).bit_length() - 1) // width
+        value >>= width * low
+        base += stride * low
     # valid digits need exactly this many slots (the top one is nonzero)
     slots = value.bit_length() // width + 1
     bias = _slot_bias(width, slots)
@@ -166,6 +195,12 @@ def unpack_poly(value: int, width: int, base: int = 0, stride: int = 1) -> dict:
         if sys.byteorder == "big":
             words.byteswap()
         digits = words.tolist()
+    elif width % 8 == 0:
+        size = width // 8
+        raw = biased.to_bytes(slots * size, "little")
+        half = 1 << (width - 1)
+        digits = [int.from_bytes(raw[i:i + size], "little") - half
+                  for i in range(0, slots * size, size)]
     else:
         text = format(biased, f"0{slots * width}b")
         half = 1 << (width - 1)
@@ -277,7 +312,7 @@ def _width(bound: int) -> int:
     for w in _WORD_CODES:
         if w >= width:
             return w
-    return width
+    return -(-width // 8) * 8
 
 
 def _accumulate(plans) -> list:
@@ -293,21 +328,25 @@ def _accumulate(plans) -> list:
     """
     if len(plans) == 1 and len(plans[0][0]) == 1 and plans[0][1] >= _SCHOOLBOOK_PAIRS:
         # one product, as ``LaurentPoly.__mul__`` asks for: nothing is shared,
-        # so its own spans give the stride, the bound and the width
+        # so its own spans give the stride, the bound and the width; the
+        # operand of a square a * a is measured and packed once
         (rows, pairs), = plans
         (k, low, used), = rows
-        spans = list(map(_span, used))
+        operands = {id(t): t for t in used}
+        spans = {i: _span(t) for i, t in operands.items()}
         least = top = low
         stride = 0
-        for span in spans:
+        for t in used:
+            span = spans[id(t)]
             least += span[0]
             top += span[1]
             stride = gcd(stride, span[2])
         if (top - least) // stride >= pairs:
             return [_termwise_sum(rows)]
-        width = _width(_bound(k, spans))
-        for t, span in zip(used, spans):
-            k *= pack_poly(t, width, -span[0], stride)
+        width = _width(_bound(k, [spans[id(t)] for t in used]))
+        packed = {i: pack_poly(t, width, -spans[i][0], stride) for i, t in operands.items()}
+        for t in used:
+            k *= packed[id(t)]
         return [unpack_poly(k, width, least, stride)]
     # A sum's own stride is the gcd of its operands' exponent gaps and of the
     # gaps between its products' least exponents; its bound adds ``_bound``
@@ -374,6 +413,95 @@ def _accumulate(plans) -> list:
             total += k << (width * ((low - least) // stride))
         out.append(unpack_poly(total, width, least, stride))
     return out
+
+
+def _times(poly: dict, factor: dict) -> dict:
+    """poly times factor, both {key tuple: scalar} in commuting variables whose
+    exponent tuples are the keys, with no sum tested for zero.  Any scalars
+    with + and * do: ints, Fractions, LaurentPolys or RingElements."""
+    out = {}
+    for key, a in poly.items():
+        for step, c in factor.items():
+            key2 = tuple(map(operator.add, key, step))
+            out[key2] = out[key2] + a * c if key2 in out else a * c
+    return out
+
+
+def _exponents(coeff) -> dict:
+    """A LaurentPoly or int coefficient as {exponent: int}."""
+    return coeff.terms if isinstance(coeff, LaurentPoly) else {0: coeff} if coeff else {}
+
+
+def _unpacked(values: dict, width: int, base: int, stride: int) -> dict:
+    """A running product's packed {key: int} as {key: LaurentPoly}."""
+    return {key: LaurentPoly._wrap(unpack_poly(v, width, base, stride)) for key, v in values.items()}
+
+
+def running_product(start: dict, factors: list):
+    """Yield, after each factor f_s of ``factors``, a function that returns
+    the product start f_1 ... f_s as {key tuple: LaurentPoly} with no zero
+    coefficient.  start and every factor are {key tuple: LaurentPoly or int}
+    in commuting variables whose exponent tuples are the keys (``_times``).
+
+    The run holds each key's coefficient as one packed int at one width and
+    one stride from the first factor to the last (module docstring), and
+    unpacks only what a yielded function is called for.  A factor's
+    coefficient of one term, or with at least twice as many slots as terms,
+    is applied as shifted adds; any other is one int product with its
+    packing.  A run that spans at least as many exponent slots as it has
+    term pairs (a sparse or zero operand) goes through ``_times`` instead.
+    """
+    operands = [{key: t for key, c in poly.items() if (t := _exponents(c))}
+                for poly in (start, *factors)]
+    lows = []
+    span = stride = 0
+    bound = pairs = 1
+    for poly in operands:
+        exps = [e for t in poly.values() for e in t]
+        if not exps:
+            pairs = 0
+            break
+        low = min(exps)
+        lows.append(low)
+        span += max(exps) - low
+        stride = gcd(stride, *(e - low for e in exps))
+        bound *= sum(abs(c) for t in poly.values() for c in t.values())
+        pairs *= len(exps)
+    stride = stride or 1
+    if span // stride >= pairs:
+        poly = {key: LaurentPoly._wrap(t) for key, t in operands[0].items()}
+        for factor in factors:
+            poly = {key: v for key, v in _times(poly, factor).items() if v}
+            yield partial(dict, poly)
+        return
+    width = _width(bound)
+    base = lows[0]
+    values = {key: pack_poly(t, width, -base, stride) for key, t in operands[0].items()}
+    for factor, low in zip(operands[1:], lows[1:]):
+        # each term of the factor as (key step, [(multiplier, shift in bits)],
+        # its packing or 0)
+        steps = []
+        for step, t in factor.items():
+            if len(t) == 1 or 2 * len(t) <= (max(t) - min(t)) // stride + 1:
+                steps.append((step, [(c, width * ((e - low) // stride)) for e, c in t.items()], 0))
+            else:
+                steps.append((step, (), pack_poly(t, width, -low, stride)))
+        out = {}
+        for key, v in values.items():
+            # the product skips v's empty low slots
+            zeros = (v & -v).bit_length() - 1
+            head = v >> zeros
+            for step, shifts, packed in steps:
+                key2 = tuple(map(operator.add, key, step))
+                acc = out.get(key2, 0)
+                for c, bits in shifts:
+                    acc += v * c << bits
+                if packed:
+                    acc += head * packed << zeros
+                out[key2] = acc
+        values = {key: v for key, v in out.items() if v}
+        base += low
+        yield partial(_unpacked, values, width, base, stride)
 
 
 def signed_join(pieces, sep: str = "") -> str:

@@ -235,16 +235,42 @@ def test_closed_tables_share_one_running_product(route, monkeypatch):
     assert made == list(range(1, 9))
 
 
-@pytest.mark.parametrize("route", ("genfun", "closed"))
-def test_each_factor_step_evaluates_its_sums_in_one_call(route, monkeypatch):
-    # the sums of one factor step share one packed width and their common
-    # operands are packed once; evaluating them key by key would not
-    calls = []
-    evaluate = qonsager.exactring.sums_of_products
+# pack_poly calls per run: the start entries, and each factor coefficient that
+# is multiplied as one packed int; beta_s = q^(2s) + q^(-2s) for s >= 2, the
+# one-term [1]^2_{q^2} and the q-binomial factors' -q^(2m) go as shifted adds
+PACKED_RUNS = {
+    "genfun": (lambda: list(coeff_tables(8, "genfun")), 2 + 1 + 7),  # x - y, beta_1, [s]^2 for s >= 2
+    "closed": (lambda: list(coeff_tables(8, "closed")), 1 + 1 + 7),  # 1, beta_1, [s]^2 for s >= 2
+    "qbinom": (lambda: qbinom_product_coeffs(10), 1),
+}
+
+
+@pytest.mark.parametrize("run", sorted(PACKED_RUNS))
+def test_each_product_stays_packed_across_its_factor_steps(run, monkeypatch):
+    # one packed int per key for the whole run: no sums_of_products, and no
+    # packing per factor step; the factors are built before the run starts
+    started, packs, sums = [], [], []
+    running_product = qonsager.coefficients.running_product
+    pack_poly = qonsager.exactring.pack_poly
+    sums_of_products = qonsager.exactring.sums_of_products
+
+    def counted_run(start, factors):
+        started.append(start)
+        return running_product(start, factors)
+
+    def counted_pack(*args):
+        if started:
+            packs.append(args)
+        return pack_poly(*args)
+
+    monkeypatch.setattr(qonsager.coefficients, "running_product", counted_run)
+    monkeypatch.setattr(qonsager.exactring, "pack_poly", counted_pack)
     monkeypatch.setattr(qonsager.exactring, "sums_of_products",
-                        lambda sums: calls.append(route) or evaluate(sums))
-    assert [t.r for t in coeff_tables(8, route)] == list(range(1, 9))
-    assert len(calls) == 8
+                        lambda x: sums.append(x) or sums_of_products(x))
+    make, expected = PACKED_RUNS[run]
+    make()
+    assert len(started) == 1 and not sums
+    assert len(packs) == expected
 
 
 def test_reduced_expansion_is_homogeneous_in_rho0():
@@ -365,12 +391,15 @@ def test_route_dispatch_rejects_unknown():
 
 
 # SHA-256 of the r = 12 JSON exports (qonsager coeffs --r 12 --route ROUTE),
-# recorded from the route implementations before the packed accumulator:
-# the recursion and closed routes evaluate their sums through it, so a byte
-# that moves here is a coefficient that moved.
+# recorded from the route implementations before the packed accumulator (the
+# genfun one before the packed running product): the routes evaluate their
+# sums and products through them, so a byte that moves here is a coefficient
+# that moved.  r = 12 is the first genfun run whose packed width is not a
+# machine word: its bound takes 64 bits, so K = 66 and W = 72.
 R12_JSON_DIGESTS = {
     "recursion": "cb9de1ecc135b77ff9b50e18796887268aa230bb297c775047079a39ef445a68",
     "closed": "26ac1648e7808d1cf5dc6421c0ce5e234c036535c55fb97ed3bcb434aa497949",
+    "genfun": "14a9a3262092b2a2ee74638cc6ff55a2f31fa65245e997aa8fb8d668410bfb5f",
 }
 
 
@@ -380,11 +409,12 @@ def test_r12_exports_are_pinned(route):
     assert digest == R12_JSON_DIGESTS[route]
 
 
-def test_r12_recursion_export_is_the_same_under_optimized_mode():
+@pytest.mark.parametrize("route", sorted(R12_JSON_DIGESTS))
+def test_r12_export_is_the_same_under_optimized_mode(route):
     src = os.path.dirname(os.path.dirname(os.path.abspath(qonsager.__file__)))
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "qonsager.cli",
-         "coeffs", "--r", "12", "--route", "recursion"],
+         "coeffs", "--r", "12", "--route", route],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert hashlib.sha256(proc.stdout).hexdigest() == R12_JSON_DIGESTS["recursion"]
+    assert hashlib.sha256(proc.stdout).hexdigest() == R12_JSON_DIGESTS[route]

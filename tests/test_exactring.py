@@ -21,8 +21,10 @@ from qonsager import (
 from qonsager.exactring import (
     _SCHOOLBOOK_PAIRS,
     ProductSum,
+    _times,
     pack_poly,
     pair_add,
+    running_product,
     sums_of_products,
     unpack_poly,
 )
@@ -379,6 +381,79 @@ def test_sums_of_products_just_past_each_word_width():
         (value,) = sums_of_products([products])
         assert value[22] == 12 * total and (12 * total).bit_length() == bits
         assert LaurentPoly(value) == schoolbook_sum(products)
+
+
+def test_a_square_packs_its_operand_once(monkeypatch):
+    calls = []
+    pack = qonsager.exactring.pack_poly
+    monkeypatch.setattr(qonsager.exactring, "pack_poly", lambda *args: calls.append(args) or pack(*args))
+    f, g = qint(9), qint(10)  # 81 and 90 term pairs: both products are packed
+    assert f * f == schoolbook(f, f) and len(calls) == 1
+    assert f * g == schoolbook(f, g) and len(calls) == 3
+
+
+def rand_factor(rng, dims, stride, bits):
+    """{key tuple: coefficient} on up to 4 keys of ``dims`` entries in 0..2;
+    each coefficient an int, a one-term or a several-term LaurentPoly."""
+    factor = {}
+    for _ in range(rng.randint(1, 4)):
+        key = tuple(rng.randint(0, 2) for _ in range(dims))
+        c = rng.choice((1, -1)) * rng.randint(1, 1 << bits)
+        kind = rng.randrange(3)
+        if kind == 1:
+            c = Q(stride * rng.randint(-5, 5), c)
+        elif kind == 2:
+            c = rand_strided(rng, rng.randint(2, 12), stride, bits)
+        factor[key] = c
+    return factor
+
+
+def l1(poly):
+    return sum(abs(c) if isinstance(c, int) else sum(map(abs, c.terms.values()))
+               for c in poly.values())
+
+
+def expected_run(start, factors):
+    """start f_1 ... f_s for s = 1, 2, ..., one ``_times`` step at a time over LaurentPolys."""
+    poly = {key: LaurentPoly.one() * c for key, c in start.items() if c}
+    for factor in factors:
+        poly = {key: v for key, v in _times(poly, factor).items() if v}
+        yield poly
+
+
+def test_running_product_matches_times_step_by_step():
+    rng = random.Random(16)
+    wide = set()
+    for _ in range(80):
+        dims, stride, bits = rng.choice((1, 2)), rng.choice((1, 2, 3)), rng.choice((1, 8, 20, 40))
+        start = rand_factor(rng, dims, stride, bits)
+        factors = [rand_factor(rng, dims, stride, bits) for _ in range(rng.randint(1, 5))]
+        steps = list(running_product(start, factors))
+        assert len(steps) == len(factors)
+        for step, expected in zip(steps, expected_run(start, factors)):
+            assert step() == expected
+        bound = l1(start)
+        for factor in factors:
+            bound *= l1(factor)
+        wide.add(bound.bit_length() + 2 > 64)  # the run's width is not a machine word
+    assert wide == {True, False}
+
+
+def test_a_sparse_or_zero_run_goes_through_times(monkeypatch):
+    def no_packing(*args):
+        raise AssertionError("a sparse run was packed")
+
+    monkeypatch.setattr(qonsager.exactring, "pack_poly", no_packing)
+    far = {(0,): Q(10 ** 6), (1,): Q(-10 ** 6, 3)}
+    start, near = {(0,): qint(5), (1,): 3}, {(0,): qint(4), (2,): -2}
+    for start, factors in (
+            (start, [near, far, {(1,): qint(3) + 5}]),
+            ({(0, 0): qint(9), (1, 1): qint(8)}, [{(0, 1): qint(7)}, {(1, 0): Q(10 ** 6) + Q(-10 ** 6)}]),
+            (start, [near, {(0,): 0}, near]),
+            ({}, [near, near])):
+        steps = list(running_product(start, factors))
+        assert [step() for step in steps] == list(expected_run(start, factors))
+    assert steps[0]() == {}
 
 
 def test_product_sum_formulas_evaluate_together():
