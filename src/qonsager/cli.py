@@ -42,8 +42,8 @@ TEST_HOOKS_ENV = "QONSAGER_TEST_HOOKS"
 # 1.28 GiB with the term-by-term Laurent product (--r 30: 37 s).
 MAX_R = 20
 # The largest matrix-check --sites.  Each site doubles the dimension and costs about
-# 8x the time: on the same host --sites 4 / 5 / 6 --r 1 took 0.05 / 0.35 / 2.7 s, and
-# --sites 5 --r 5 1.0 s.
+# 6x the time: in process on the same host --sites 4 / 5 / 6 --r 1 take 0.02 / 0.09 /
+# 0.55 s, and --sites 5 --r 5 0.7 s.
 MAX_SITES = 5
 
 

@@ -15,7 +15,8 @@ Routes 1 and 2, and the q-binomial product, multiply one factor at a time as
 one running product (``exactring.running_product``): each coefficient stays
 one packed int from the first factor to the last, and only the steps that a
 caller reads are unpacked, the last one for ``coeff_table(r)`` and one per r
-for ``coeff_tables``.  Route 1 leaves the power of rho0 implicit
+for ``coeff_tables``.  Route 1 leaves the power of rho0 implicit and reads
+the signs (-1)^{j+p} off the product under y -> -y, rho0 -> -rho0
 (``_reduced_expansions`` says why that is sound).
 
 Route 3 (``recursion_coeffs``): the inductive r -> r+1 step through the
@@ -148,17 +149,22 @@ def _reduced_step(s: int) -> tuple:
 
 def _reduced_expansions(r_max: int):
     """Yield, for r = 1..r_max, a function that returns the reduced generating
-    polynomial as {(i, j): LaurentPoly} (``exactring.running_product``), the
-    rho0 power (2r+1-i-j)/2 of a_(i, j) left implicit: a factor step is
-    a_new(i, j) = a(i-2, j) + a(i, j-2) - beta_s a(i-1, j-1) - [s]^2_{q^2} a(i, j).
+    polynomial under y -> -y, rho0 -> -rho0 as {(i, j): LaurentPoly}
+    (``exactring.running_product``), the rho0 power p = (2r+1-i-j)/2 of
+    a_(i, j) left implicit: a factor step is
+    a_new(i, j) = a(i-2, j) + a(i, j-2) + beta_s a(i-1, j-1) + [s]^2_{q^2} a(i, j).
 
-    That is sound because each factor is homogeneous of degree 2 when x and y
-    have degree 1 and rho0 has degree 2: beta_s is rho0-free and delta_s =
-    [s]^2_{q^2} rho0.  So every term a_(i, j) x^i y^j of the product has
-    degree 2r+1, and a_(i, j) is a LaurentPoly times rho0^((2r+1-i-j)/2)."""
-    factors = [_genfun_factor(beta, 0, square)
+    Leaving rho0 implicit is sound because each factor is homogeneous of
+    degree 2 when x and y have degree 1 and rho0 has degree 2: beta_s is
+    rho0-free and delta_s = [s]^2_{q^2} rho0.  So every term a_(i, j) x^i y^j
+    of the product has degree 2r+1, and a_(i, j) is a LaurentPoly times
+    rho0^p.  The substitution multiplies that term by (-1)^(j+p), so the
+    product yields the signed entries c_j^{[r,p]} = (-1)^(j+p) a_(i, j) of
+    the table directly: it starts from x + y, and each factor is
+    x^2 + beta_s xy + y^2 + [s]^2_{q^2}."""
+    factors = [_genfun_factor(-beta, 0, -square)
                for beta, square in map(_reduced_step, range(1, r_max + 1))]
-    return running_product({(1, 0): 1, (0, 1): -1}, factors)
+    return running_product({(1, 0): 1, (0, 1): 1}, factors)
 
 
 @dataclass
@@ -192,15 +198,14 @@ def reduced_genfun_coeffs(r: int) -> CoeffTable:
 
 
 def _reduced_table(r: int, poly: dict) -> CoeffTable:
-    """The c-table of the reduced generating polynomial's expansion at this r,
-    {(i, j): LaurentPoly} with rho0 implicit (``_reduced_expansions``)."""
+    """The c-table of the reduced generating polynomial's signed expansion at
+    this r, {(i, j): LaurentPoly} with rho0 implicit (``_reduced_expansions``)."""
     entries = {}
     for (i, j), value in poly.items():
         rem = 2 * r + 1 - i - j
         if rem < 0 or rem % 2:
             raise AssertionError(f"stray monomial x^{i} y^{j} in the expansion")
-        p = rem // 2
-        entries[(p, j)] = _sgn(j + p) * value
+        entries[(rem // 2, j)] = value
     for p in range(r + 1):
         for j in range(2 * (r - p) + 2):
             entries.setdefault((p, j), LaurentPoly.zero())

@@ -7,8 +7,11 @@ tensor product of two-dimensional evaluation modules:
     A* = c1 e1 q^{h1/2} + cbar1 f1 q^{h1/2} + eps1 q^{h1}
 
 with rho_i = c_i cbar_i (q + q^{-1})^2.  Every entry is a Fraction; q = t^2
-so the half-weight diagonals stay rational.  ``eval_ncpoly`` multiplies on
-integer matrices over one common denominator and returns the exact image.
+so the half-weight diagonals stay rational, and ``ExactMatrix`` products skip
+the zero terms of these sparse matrices.  ``eval_ncpoly`` multiplies on
+integer matrices over one common denominator and returns the exact image:
+each word is a head times a power of its last letter, so a relation's words
+share their head and power images and cost one product per head.
 
 Evaluation-module and coproduct conventions are pinned here and validated
 solely by the ``check_qdg`` gate: if the gate passes, the pair genuinely
@@ -27,6 +30,8 @@ from .exactring import RHO0, Rational
 from .freealg import A, ASTAR, GEN_A, GEN_ASTAR, NcPoly
 from .qnumbers import qint
 
+_ZERO = Fraction(0)
+
 
 class ExactMatrix:
     """Dense square matrix over Fraction; immutable, exact."""
@@ -34,7 +39,8 @@ class ExactMatrix:
     __slots__ = ("rows", "n")
 
     def __init__(self, rows):
-        self.rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        self.rows = tuple(tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row)
+                          for row in rows)
         self.n = len(self.rows)
         for row in self.rows:
             if len(row) != self.n:
@@ -80,9 +86,16 @@ class ExactMatrix:
         if isinstance(other, (Fraction, int)):
             return ExactMatrix([[a * other for a in row] for row in self.rows])
         self._match(other)
-        cols = list(zip(*other.rows))
-        return ExactMatrix([[sum(a * b for a, b in zip(row, col)) for col in cols]
-                            for row in self.rows])
+        out = []
+        for row in self.rows:  # row times other, skipping the zero terms
+            acc = [_ZERO] * self.n
+            for a, orow in zip(row, other.rows):
+                if a:
+                    for j, b in enumerate(orow):
+                        if b:
+                            acc[j] += a * b
+            out.append(acc)
+        return ExactMatrix(out)
 
     def __rmul__(self, other):
         if isinstance(other, (Fraction, int)):
@@ -90,11 +103,8 @@ class ExactMatrix:
         return NotImplemented
 
     def kron(self, other: "ExactMatrix") -> "ExactMatrix":
-        n, m = self.n, other.n
-        return ExactMatrix([
-            [self.rows[i // m][j // m] * other.rows[i % m][j % m]
-             for j in range(n * m)]
-            for i in range(n * m)])
+        return ExactMatrix([[a * b if a and b else _ZERO for a in srow for b in orow]
+                            for srow in self.rows for orow in other.rows])
 
     def inverse(self) -> "ExactMatrix":
         """Gauss-Jordan inverse; dimensions here never exceed 8."""
@@ -276,6 +286,11 @@ def _int_matmul(x, y):
     return [[sum(map(operator.mul, row, col)) for col in cols] for row in x]
 
 
+def _add_scaled(total, scale, m):
+    """total + scale * m, entrywise on integer matrices."""
+    return [[t + scale * e for t, e in zip(trow, mrow)] for trow, mrow in zip(total, m)]
+
+
 def eval_ncpoly(x: NcPoly, a: ExactMatrix, astar: ExactMatrix,
                 q_val: Rational, rho0_val: Rational, rho1_val: Rational) -> ExactMatrix:
     """Evaluation homomorphism from the free algebra: letters become the
@@ -284,32 +299,46 @@ def eval_ncpoly(x: NcPoly, a: ExactMatrix, astar: ExactMatrix,
     Exact, in integers: with d the common denominator of the entries of A and
     A*, a word w of value c becomes c (dA)^w / d^len(w).  Every word is put over
     the one denominator D = lcm of den(c) d^len(w), so each adds an integer
-    multiple of its integer image to one integer total, and the result is
-    total / D.  The words go in lexicographic order over a stack of prefix
-    products, so each distinct prefix is multiplied out once and at most
-    max len(w) + 1 products are held.
+    multiple s_w of its integer image to one integer total, and the result is
+    total / D.
+
+    Each word is split as h x^k, where x^k is its whole trailing run and the
+    head h, possibly empty, is the rest.  The words of one head share
+    M(h) * T_h with T_h = sum s_w G_x^k, an integer combination of powers that
+    needs no product.  Powers and heads come from one memo of images built
+    right to left, M(x w') = G_x M(w'), so every distinct suffix of a head and
+    every power up to the longest trailing run is multiplied out once, and
+    each nonempty head costs one more product.  The words are grouped by
+    head first, so one T_h is held at a time.
     """
     a._match(astar)
     n = a.n
     d = math.lcm(*(e.denominator for m in (a, astar) for row in m.rows for e in row))
-    gens = {ch: [[e.numerator * (d // e.denominator) for e in row] for row in m.rows]
-            for ch, m in ((GEN_A, a), (GEN_ASTAR, astar))}
-    values = [(w, c.eval_at(q_val, rho0_val, rho1_val)) for w, c in sorted(x.terms.items())]
+    zero = [[0] * n for _ in range(n)]
+    memo = {"": [[int(i == j) for j in range(n)] for i in range(n)]}
+    for ch, m in ((GEN_A, a), (GEN_ASTAR, astar)):
+        memo[ch] = [[e.numerator * (d // e.denominator) for e in row] for row in m.rows]
+
+    def image(word):
+        k = 0
+        while word[k:] not in memo:
+            k += 1
+        for i in range(k - 1, -1, -1):
+            memo[word[i:]] = _int_matmul(memo[word[i]], memo[word[i + 1:]])
+        return memo[word]
+
+    values = [(w, c.eval_at(q_val, rho0_val, rho1_val)) for w, c in x.terms.items()]
     values = [(w, c) for w, c in values if c]
     den = math.lcm(*(c.denominator * d ** len(w) for w, c in values))
-    total = [[0] * n for _ in range(n)]
-    stack = [[[int(i == j) for j in range(n)] for i in range(n)]]
-    prev = ""
+    tails = {}
     for w, c in values:
-        k = 0
-        while k < len(prev) and k < len(w) and prev[k] == w[k]:
-            k += 1
-        del stack[k + 1:]
-        for ch in w[k:]:
-            stack.append(_int_matmul(stack[-1], gens[ch]))
+        head = w.rstrip(w[-1:])
         scale = c.numerator * (den // (c.denominator * d ** len(w)))
-        for trow, mrow in zip(total, stack[-1]):
-            for j, m in enumerate(mrow):
-                trow[j] += scale * m
-        prev = w
+        tails.setdefault(head, []).append((w[len(head):], scale))
+    total = zero
+    for head, tail in tails.items():
+        t = zero
+        for power, scale in tail:
+            t = _add_scaled(t, scale, image(power))
+        total = _add_scaled(total, 1, _int_matmul(image(head), t) if head else t)
     return ExactMatrix([[Fraction(t, den) for t in row] for row in total])

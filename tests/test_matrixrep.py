@@ -253,6 +253,24 @@ def count_products(monkeypatch):
     return calls
 
 
+def scheme_products(words):
+    """Integer products that evaluating these words costs when each word is
+    split as head * (trailing run): every distinct word of length >= 2 that
+    is a suffix of a nonempty head or a power x^k up to the longest trailing
+    run of x, plus one product per distinct nonempty head."""
+    heads, longest = set(), {}
+    for w in filter(None, words):
+        run = 1
+        while run < len(w) and w[-1 - run] == w[-1]:
+            run += 1
+        if run < len(w):
+            heads.add(w[:-run])
+        longest[w[-1]] = max(longest.get(w[-1], 0), run)
+    built = {h[i:] for h in heads for i in range(len(h) - 1)}
+    built |= {x * k for x, k in longest.items() for k in range(2, k + 1)}
+    return len(built) + len(heads)
+
+
 def test_eval_ncpoly_skips_a_coefficient_that_vanishes_at_the_point(monkeypatch):
     real = gate_realization(2)
     assert real.q == Fraction(9, 4)
@@ -262,19 +280,44 @@ def test_eval_ncpoly_skips_a_coefficient_that_vanishes_at_the_point(monkeypatch)
     image = assert_matches_oracle(NcPoly.from_word("aasa", vanishing) + live, real)
     assert image == assert_matches_oracle(live, real)
     assert assert_matches_oracle(NcPoly.from_word("ssa", vanishing), real).is_zero()
-    # prefixes s, sa, saa, once per evaluation; none for the vanishing words
-    assert len(calls) == 2 * 3
+    # the power aa and the head s times its tail, once per evaluation; none
+    # for the vanishing words, whose heads aas and ss would cost more
+    assert scheme_products(["sa", "saa"]) == 2
+    assert len(calls) == 2 * 2
 
 
-def test_eval_ncpoly_multiplies_each_prefix_once(monkeypatch):
+def test_eval_ncpoly_multiplies_each_suffix_power_and_head_once(monkeypatch):
     real = gate_realization(3)
     point = (real.q, real.rho0, real.rho1)
-    lhs = build_relation_lhs(reduced_genfun_coeffs(4), family=2)
-    prefixes = {w[:k] for w, c in lhs.terms.items() if c.eval_at(*point)
-                for k in range(1, len(w) + 1)}
-    calls = count_products(monkeypatch)
-    assert eval_ncpoly(lhs, real.A, real.Astar, *point).is_zero()
-    assert len(calls) == len(prefixes) < sum(len(w) for w in lhs.terms)
+    table = reduced_genfun_coeffs(5)
+    for family in (1, 2):
+        lhs = build_relation_lhs(table, family=family)
+        words = [w for w, c in lhs.terms.items() if c.eval_at(*point)]
+        calls = count_products(monkeypatch)
+        assert eval_ncpoly(lhs, real.A, real.Astar, *point).is_zero()
+        # 137 distinct prefixes: the cost of a stack of prefix products
+        assert len(calls) == scheme_products(words) < 137, family
+
+
+def test_eval_ncpoly_matches_oracle_on_word_shapes(monkeypatch):
+    real = gate_realization(2, **GENERIC)
+    c = LaurentPoly({2: 3, -1: -5})
+    shapes = {
+        "empty word": NcPoly.from_word("", c),
+        "single runs of both letters, with the empty word": (
+            NcPoly.from_word("") + NcPoly.from_word("a", c) + NcPoly.from_word("aaa")
+            + NcPoly.from_word("s", RHO0) + NcPoly.from_word("ssss", c * RHO1)),
+        "heads that are suffixes of other heads": (
+            NcPoly.from_word("asa") + NcPoly.from_word("sasaa", c)
+            + NcPoly.from_word("asas", RHO0) + NcPoly.from_word("aasass", c)),
+        "long trailing runs": (
+            NcPoly.from_word("s" + "a" * 12, c) + NcPoly.from_word("a" * 15)
+            + NcPoly.from_word("as" + "s" * 10, RHO1) + NcPoly.from_word("sa" + "s" * 9)),
+    }
+    for name, x in shapes.items():
+        calls = count_products(monkeypatch)
+        assert not assert_matches_oracle(x, real).is_zero(), name
+        assert len(calls) == scheme_products(x.terms), name
 
 
 def sabotaged_lhs(r, rng):
@@ -288,9 +331,9 @@ def sabotaged_lhs(r, rng):
 
 def test_eval_ncpoly_matches_oracle_on_sabotaged_relations():
     rng = random.Random(44)
-    real = gate_realization(3)
-    for r in (3, 4, 5):
-        assert not assert_matches_oracle(sabotaged_lhs(r, rng), real).is_zero(), r
+    for sites, r in ((3, 3), (3, 4), (3, 5), (4, 3)):
+        real = gate_realization(sites)
+        assert not assert_matches_oracle(sabotaged_lhs(r, rng), real).is_zero(), (sites, r)
 
 
 def test_relations_vanish_at_r_20_on_three_sites():
