@@ -167,27 +167,6 @@ def _reduced_expansions(r_max: int):
     return running_product({(1, 0): 1, (0, 1): 1}, factors)
 
 
-@dataclass
-class GeneralCoeffTable:
-    """Coefficients a_{ij} of the full-parameter generating polynomial."""
-
-    r: int
-    entries: dict  # (i, j) -> scalar, absent means zero
-    params: tuple
-
-    def coefficient(self, i: int, j: int):
-        return self.entries.get((i, j), 0)
-
-
-def genfun_coeffs(r: int, params) -> GeneralCoeffTable:
-    params = tuple(params)
-    poly = genfun_polynomial(r, params)
-    for (i, j) in poly:
-        if i + j > 2 * r + 1:
-            raise AssertionError("total degree exceeds 2r+1")
-    return GeneralCoeffTable(r=r, entries=poly, params=params)
-
-
 def reduced_genfun_coeffs(r: int) -> CoeffTable:
     """Fill the c-table from the reduced generating polynomial (rho0 formal)."""
     if r < 1:
@@ -289,6 +268,13 @@ class RecursionTables:
     They are the coefficients of the once- and twice-left-multiplied relation
     after re-reduction, stored over exactly the index ranges those expansions
     support; lookups outside are zero.
+
+    Each array is one formula over one index range.  The level-r entries
+    are read through ``CoeffTable.get``, zero outside the triangle, so the
+    boundary entries (j = 0, the last one or two j of a row, the row
+    p = r + 1 of N) are the general formula with the missing entries
+    dropped, and the row p = 1 of N is the general formula at
+    c_0^{[r,0]} = 1 (its j = 0 entry vanishes).
     """
 
     def __init__(self, table: CoeffTable):
@@ -297,43 +283,16 @@ class RecursionTables:
         self.r = r = table.r
 
         def c(p, j):
-            return ProductSum.of(table.entry(p, j))
+            return ProductSum.of(table.get(p, j))
 
         c1 = c(0, 1)
         c11_2 = ProductSum.of(ProductSum.evaluate_all([c1 * c1 - c(0, 2)])[0])
-        m: dict = {}
-        n: dict = {}
-        for j in range(2, 2 * r + 2):
-            m[(0, j)] = c(0, j) - c1 * c(0, j - 1)
-        m[(0, 2 * r + 2)] = -c1 * c(0, 2 * r + 1)
-        for p in range(1, r + 1):
-            width = 2 * (r - p) + 1
-            m[(p, 0)] = c(p, 0)
-            for j in range(1, width + 1):
-                m[(p, j)] = c(p, j) - c1 * c(p, j - 1)
-            m[(p, width + 1)] = -c1 * c(p, width)
-        for j in range(3, 2 * r + 2):
-            n[(0, j)] = c(0, j) - c1 * c(0, j - 1) + c11_2 * c(0, j - 2)
-        n[(0, 2 * r + 2)] = -c1 * c(0, 2 * r + 1) + c11_2 * c(0, 2 * r)
-        n[(0, 2 * r + 3)] = c11_2 * c(0, 2 * r + 1)
-        n[(1, 0)] = ProductSum()
-        n[(1, 1)] = c(1, 1) - 2 * c1 * c(1, 0)
-        for j in range(2, 2 * r):
-            n[(1, j)] = c11_2 * c(1, j - 2) - c1 * c(1, j - 1) + c(1, j) - c(1, 0) * c(0, j)
-        n[(1, 2 * r)] = c11_2 * c(1, 2 * r - 2) - c1 * c(1, 2 * r - 1) - c(1, 0) * c(0, 2 * r)
-        n[(1, 2 * r + 1)] = c11_2 * c(1, 2 * r - 1) - c(1, 0) * c(0, 2 * r + 1)
-        for p in range(2, r + 1):
-            width = 2 * (r - p) + 1
-            n[(p, 0)] = c(p, 0) - c(1, 0) * c(p - 1, 0)
-            n[(p, 1)] = -c1 * c(p, 0) + c(p, 1) - c(1, 0) * c(p - 1, 1)
-            for j in range(2, width + 1):
-                n[(p, j)] = (c11_2 * c(p, j - 2) - c1 * c(p, j - 1)
-                             + c(p, j) - c(1, 0) * c(p - 1, j))
-            n[(p, width + 1)] = (c11_2 * c(p, width - 1) - c1 * c(p, width)
-                                 - c(1, 0) * c(p - 1, width + 1))
-            n[(p, width + 2)] = c11_2 * c(p, width) - c(1, 0) * c(p - 1, width + 2)
-        n[(r + 1, 0)] = -c(1, 0) * c(r, 0)
-        n[(r + 1, 1)] = -c(1, 0) * c(r, 1)
+        m = {(p, j): c(p, j) - c1 * c(p, j - 1)
+             for p in range(r + 1)
+             for j in range(2 if p == 0 else 0, 2 * (r - p) + 3)}
+        n = {(p, j): c11_2 * c(p, j - 2) - c1 * c(p, j - 1) + c(p, j) - c(1, 0) * c(p - 1, j)
+             for p in range(r + 2)
+             for j in range(3 if p == 0 else 0, 2 * (r - p) + 4)}
         values = iter(ProductSum.evaluate_all([*m.values(), *n.values()]))
         self._m = {key: next(values) for key in m}
         self._n = {key: next(values) for key in n}
@@ -367,6 +326,13 @@ def advance_table(table: CoeffTable) -> CoeffTable:
     consistency check.  Every remaining entry follows from the read-off
     formulas of the inductive combination; the palindromic symmetry of the
     result is asserted, which cross-validates the overlapping families.
+
+    M and N are read as zero outside their tables (``RecursionTables``), so
+    each column family is one formula over one index range: the last row
+    p = r + 1 of the j = 0 and j = 1 columns and the row p = 1 of the j >= 5
+    families are their last pass.  Only the j = 2, 3 and 4 columns are
+    written out on their own: the j >= 5 families would read
+    eta^{(m)}_{k,2} off its grid (m < 3 or k < 0) there.
     """
     r = table.r
     mn = RecursionTables(table)
@@ -407,24 +373,17 @@ def advance_table(table: CoeffTable) -> CoeffTable:
         puts.append(((p, j), value))
 
     # j = 0 column
-    for p in range(2, r + 1):
+    for p in range(2, r + 2):
         put(p, 0, n(p, 0) + c01 * c(p - 1, 0))
-    put(r + 1, 0, c01 * c(r, 0) + n(r + 1, 0))
 
     # j = 1 column
-    for p in range(1, r + 1):
+    for p in range(1, r + 2):
         val = c1_new * m(p, 0)
         for i in range(p):
             val = val + _sgn(i + p + 1) * n(i, 2 * (p - i) + 1)
         for i in range(p - 1):
             val = val + _sgn(i + p) * c01 * c(i, 2 * (p - i) - 1)
         put(p, 1, val)
-    val = ProductSum()
-    for i in range(r + 1):
-        val = val + _sgn(r + i) * n(i, 2 * (r - i) + 3)
-    for i in range(r):
-        val = val + _sgn(r + i + 1) * c01 * c(i, 2 * (r - i) + 1)
-    put(r + 1, 1, val)
 
     # j = 2 column
     for p in range(1, r + 1):
@@ -458,11 +417,11 @@ def advance_table(table: CoeffTable) -> CoeffTable:
             val = val + _sgn(i + p + 1) * c01 * c(i, 2 * (p - i) + 2) * _eta2(2 * (p - i) + 2, 1)
         put(p, 4, val)
 
-    # odd j >= 5, rows p >= 2  (first group runs over odd-index N entries,
-    # matching the p = 1 special case; the printed general form shifts them
-    # to even indices, which the oracle refutes)
-    for jj in range(3, r + 1):
-        for k in range(1, jj - 1):
+    # odd j >= 5  (the first group runs over odd-index N entries; the
+    # printed general form shifts them to even indices, which the oracle
+    # refutes)
+    for jj in range(2, r + 1):
+        for k in range(1, jj):
             p = jj - k
             val = ProductSum()
             for i in range(jj - k + 1):
@@ -474,20 +433,9 @@ def advance_table(table: CoeffTable) -> CoeffTable:
                 val = val + _sgn(i + jj + k + 1) * c01 * c(i, 2 * (jj - i) + 1) * _eta2(2 * (jj - i) + 1, k + 1)
             put(p, 2 * k + 3, val)
 
-    # odd j >= 5, row p = 1
-    for jj in range(2, r + 1):
-        val = (-(n(0, 2 * jj + 3) * _eta2(2 * jj + 3, jj))
-               + n(1, 2 * jj + 1) * _eta2(2 * jj + 1, jj)
-               - c1_new * (m(0, 2 * jj + 2) * _eta2(2 * jj + 2, jj - 1)
-                           - m(1, 2 * jj) * _eta2(2 * jj, jj - 1))
-               - c2_new * (c(0, 2 * jj + 1) * _eta2(2 * jj + 1, jj - 1)
-                           - c(1, 2 * jj - 1) * _eta2(2 * jj - 1, jj - 1))
-               + c01 * c(0, 2 * jj + 1) * _eta2(2 * jj + 1, jj))
-        put(1, 2 * jj + 1, val)
-
-    # even j >= 6, rows p >= 2
-    for jj in range(4, r + 1):
-        for k in range(2, jj - 1):
+    # even j >= 6
+    for jj in range(3, r + 1):
+        for k in range(2, jj):
             p = jj - k
             val = ProductSum()
             for i in range(jj - k + 1):
@@ -498,17 +446,6 @@ def advance_table(table: CoeffTable) -> CoeffTable:
             for i in range(jj - k):
                 val = val + _sgn(i + jj + k + 1) * c01 * c(i, 2 * (jj - i)) * _eta2(2 * (jj - i), k)
             put(p, 2 * k + 2, val)
-
-    # even j >= 6, row p = 1
-    for jj in range(3, r + 1):
-        val = (c01 * c(0, 2 * jj) * _eta2(2 * jj, jj - 1)
-               - n(0, 2 * jj + 2) * _eta2(2 * jj + 2, jj - 1)
-               + n(1, 2 * jj) * _eta2(2 * jj, jj - 1)
-               - c1_new * (m(0, 2 * jj + 1) * _eta2(2 * jj + 1, jj - 1)
-                           - m(1, 2 * jj - 1) * _eta2(2 * jj - 1, jj - 1))
-               - c2_new * (c(0, 2 * jj) * _eta2(2 * jj, jj - 2)
-                           - c(1, 2 * jj - 2) * _eta2(2 * jj - 2, jj - 2)))
-        put(1, 2 * jj, val)
 
     for ((p, j), _), value in zip(puts, ProductSum.evaluate_all([v for _, v in puts])):
         old = new.get((p, j))

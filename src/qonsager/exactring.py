@@ -21,7 +21,9 @@ freely.
 ``LaurentPoly.__mul__`` is the only arithmetic override.  An int or a
 one-term operand scales term by term, a product of fewer than
 ``_SCHOOLBOOK_PAIRS`` term pairs runs the schoolbook loop, and the rest is
-the one-product case of the packed accumulator.
+the one-product case of the packed accumulator, on the same path as any
+other sum (the operand of a square a a is measured and packed once, as is
+any operand that a call shares).
 
 The packed accumulator, ``sums_of_products``, computes sums
 S = sum_t k_t f_t1 ... f_tm of int-weighted products of LaurentPolys;
@@ -326,28 +328,6 @@ def _accumulate(plans) -> list:
     that several of them use is measured and packed once.  The other sums go
     term by term.
     """
-    if len(plans) == 1 and len(plans[0][0]) == 1 and plans[0][1] >= _SCHOOLBOOK_PAIRS:
-        # one product, as ``LaurentPoly.__mul__`` asks for: nothing is shared,
-        # so its own spans give the stride, the bound and the width; the
-        # operand of a square a * a is measured and packed once
-        (rows, pairs), = plans
-        (k, low, used), = rows
-        operands = {id(t): t for t in used}
-        spans = {i: _span(t) for i, t in operands.items()}
-        least = top = low
-        stride = 0
-        for t in used:
-            span = spans[id(t)]
-            least += span[0]
-            top += span[1]
-            stride = gcd(stride, span[2])
-        if (top - least) // stride >= pairs:
-            return [_termwise_sum(rows)]
-        width = _width(_bound(k, [spans[id(t)] for t in used]))
-        packed = {i: pack_poly(t, width, -spans[i][0], stride) for i, t in operands.items()}
-        for t in used:
-            k *= packed[id(t)]
-        return [unpack_poly(k, width, least, stride)]
     # A sum's own stride is the gcd of its operands' exponent gaps and of the
     # gaps between its products' least exponents; its bound adds ``_bound``
     # over its products.

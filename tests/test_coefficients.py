@@ -21,7 +21,6 @@ from qonsager import (
     closedform_table,
     coeff_table,
     coeff_tables,
-    genfun_coeffs,
     lusztig_coeffs,
     normal_form,
     parse_laurent,
@@ -37,6 +36,7 @@ from qonsager.coefficients import (
     ROUTES,
     RecursionTables,
     advance_table,
+    genfun_polynomial,
     qbinom_product_coeffs,
     qbinom_theorem_coeffs,
     seed_table,
@@ -93,28 +93,29 @@ def test_r3_table_matches_the_golden_values(route):
 
 def test_r1_reduced_generating_polynomial_coefficients():
     params = [reduced_tridiagonal_params(1)]
-    general = genfun_coeffs(1, params)
+    general = genfun_polynomial(1, params)
     three = RingElement.from_laurent(qint(3))
-    assert general.coefficient(3, 0) == RingElement.one()
-    assert general.coefficient(2, 1) == -three
-    assert general.coefficient(1, 2) == three
-    assert general.coefficient(0, 3) == -RingElement.one()
-    assert general.coefficient(1, 0) == -RHO0
-    assert general.coefficient(0, 1) == RHO0
-    assert general.coefficient(2, 0) == 0
+    assert general.get((3, 0), 0) == RingElement.one()
+    assert general.get((2, 1), 0) == -three
+    assert general.get((1, 2), 0) == three
+    assert general.get((0, 3), 0) == -RingElement.one()
+    assert general.get((1, 0), 0) == -RHO0
+    assert general.get((0, 1), 0) == RHO0
+    assert general.get((2, 0), 0) == 0
     # reconstruction: sum a_ij x^i y^j has total degree 2r+1
-    assert all(i + j <= 3 for (i, j) in general.entries)
+    assert all(i + j <= 3 for (i, j) in general)
 
 
 def test_genfun_with_delta_zero_gives_alternating_qserre():
     params = [TridiagonalParams(s=1, beta=RingElement.from_laurent(B(1)),
                                 gamma=RingElement.zero(), delta=RingElement.zero())]
-    general = genfun_coeffs(1, params)
+    general = genfun_polynomial(1, params)
+    assert all(i + j <= 3 for (i, j) in general)
     for j in range(4):
         expected = RingElement.from_laurent(qbinomial(3, j))
         if j % 2:
             expected = -expected
-        assert general.coefficient(3 - j, j) == expected
+        assert general.get((3 - j, j), 0) == expected
 
 
 def test_genfun_numeric_params_reproduce_polynomial():
@@ -122,13 +123,14 @@ def test_genfun_numeric_params_reproduce_polynomial():
     from qonsager import EigenvalueData, tridiagonal_parameters
     data = EigenvalueData(alpha=1, b=2, c=3, d=4, q_val=Fraction(5, 2))
     params = [tridiagonal_parameters(s, data) for s in (1, 2)]
-    general = genfun_coeffs(2, params)
+    general = genfun_polynomial(2, params)
+    assert all(i + j <= 5 for (i, j) in general)
     x, y = Fraction(2, 7), Fraction(-3, 5)
     direct = (x - y)
     for step in params:
         direct *= (x * x - step.beta * x * y + y * y
                    - step.gamma * (x + y) - step.delta)
-    total = sum(v * x ** i * y ** j for (i, j), v in general.entries.items())
+    total = sum(v * x ** i * y ** j for (i, j), v in general.items())
     assert total == direct
 
 
@@ -278,9 +280,10 @@ def test_reduced_expansion_is_homogeneous_in_rho0():
     # expansion with formal rho0 shows that it is (2r+1-i-j)/2 and that the
     # two expansions give the same table
     for r in range(1, 7):
-        general = genfun_coeffs(r, [reduced_tridiagonal_params(s) for s in range(1, r + 1)])
+        general = genfun_polynomial(r, [reduced_tridiagonal_params(s) for s in range(1, r + 1)])
         expected = {}
-        for (i, j), value in general.entries.items():
+        for (i, j), value in general.items():
+            assert i + j <= 2 * r + 1, (r, i, j)
             p, odd = divmod(2 * r + 1 - i - j, 2)
             value = RingElement.one() * value
             assert odd == 0 and set(value.terms) == {(p, 0)}, (r, i, j)
@@ -367,6 +370,16 @@ def test_recursion_table_index_ranges():
         assert m_keys == expected_m, r
         assert n_keys == expected_n, r
         assert mn.m(0, 1).is_zero() and mn.n(0, 2 * r + 4).is_zero()
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_tables_hold_exactly_the_triangle(route):
+    # a formula run past its row or column would leave a stray entry that
+    # the exports and CoeffTable.check never read
+    for table in coeff_tables(6, route):
+        r = table.r
+        assert set(table.entries) == {(p, j) for p in range(r + 1)
+                                      for j in range(2 * (r - p) + 2)}, r
 
 
 def test_qbinomial_theorem():

@@ -488,9 +488,10 @@ def test_packing_round_trips_at_word_and_other_widths(width):
 
 
 def test_codec_checks_survive_optimized_mode():
-    # the last call forces a too-narrow accumulation: the operand's values()
-    # understates its coefficients, so the width bound comes out 12 where the
-    # product's coefficients reach 120000
+    # the last two calls force a too-narrow accumulation: the operand's
+    # values() understates its coefficients, so the width bound comes out 12
+    # where the product's coefficients reach 120000; f * f reaches it through
+    # LaurentPoly.__mul__
     script = ("from qonsager.exactring import (LaurentPoly, pack_poly, sums_of_products,\n"
               "                                 unpack_poly)\n"
               "class Understated(dict):\n"
@@ -500,7 +501,7 @@ def test_codec_checks_survive_optimized_mode():
               "for call in (lambda: unpack_poly(64, 8), lambda: unpack_poly(1 << 37, 39),\n"
               "             lambda: pack_poly({0: 1 << 70}, 64),\n"
               "             lambda: pack_poly({0: 1 << 70}, 39),\n"
-              "             lambda: sums_of_products([[(1, (f, f))]])):\n"
+              "             lambda: sums_of_products([[(1, (f, f))]]), lambda: f * f):\n"
               "    try:\n"
               "        call()\n"
               "    except AssertionError:\n"
