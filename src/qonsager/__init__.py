@@ -41,7 +41,6 @@ from .coefficients import (
     ROUTES,
     CoeffTable,
     RecursionTables,
-    closedform_coeff,
     closedform_table,
     coeff_table,
     coeff_tables,
@@ -100,7 +99,6 @@ __all__ = [
     "build_relation_lhs",
     "check_qdg",
     "check_realization",
-    "closedform_coeff",
     "closedform_table",
     "coeff_table",
     "coeff_tables",

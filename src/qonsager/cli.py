@@ -5,6 +5,9 @@ Subcommands: ``coeffs`` (coefficient tables to JSON/CSV/LaTeX), ``verify``
 realization gate plus relation evaluations), ``reduce`` (normal form of an
 input expression).
 
+The negative control is a route, not a flag: ``verify --route
+closed-literal`` exits 1 from r = 3 on.
+
 Exit codes: 0 success, 1 relation failure, 2 usage, 3 internal integrity
 (e.g. a non-exact division in the recursion route), 4 matrix gate failure.
 
@@ -16,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -33,8 +35,6 @@ EXIT_RELATION = 1
 EXIT_USAGE = 2
 EXIT_INTEGRITY = 3
 EXIT_GATE = 4
-
-TEST_HOOKS_ENV = "QONSAGER_TEST_HOOKS"
 
 # The largest r that coeffs --r, verify --r-max and matrix-check --r accept.
 # The q-Pascal rows then stop at n = 2r + 3 = 43.  On a 2-vCPU AMD EPYC host
@@ -171,39 +171,12 @@ def cmd_coeffs(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _parse_sabotage(spec: str):
-    """Test hook syntax: c:R,P,J:+K perturbs entry (P, J) of the r=R table."""
-    try:
-        target, indices, delta = spec.split(":")
-        if target != "c":
-            raise ValueError
-        r, p, j = (int(x) for x in indices.split(","))
-        return r, p, j, int(delta)
-    except ValueError as exc:
-        raise UsageError(f"bad sabotage spec {spec!r}") from exc
-
-
-def _perturb(table: CoeffTable, p: int, j: int, delta: int) -> CoeffTable:
-    entries = dict(table.entries)
-    entries[(p, j)] = entries[(p, j)] + delta
-    return CoeffTable(r=table.r, route=table.route + "+sabotage", entries=entries)
-
-
 def cmd_verify(args) -> int:
-    sabotage = None
-    if args.sabotage is not None:
-        if os.environ.get(TEST_HOOKS_ENV) != "1":
-            raise UsageError(
-                f"--sabotage is a test hook; set {TEST_HOOKS_ENV}=1 to enable it")
-        sabotage = _parse_sabotage(args.sabotage)
     families = (1, 2) if args.family == "both" else (int(args.family),)
     lines = []
     all_zero = True
     for table in coeff_tables(args.r_max, args.route):
-        r = table.r
-        if sabotage is not None and sabotage[0] == r:
-            table = _perturb(table, sabotage[1], sabotage[2], sabotage[3])
-        first = verify_relation(r, table=table)
+        first = verify_relation(table.r, table=table)
         for family in families:
             report = first if family == 1 else first.family_two()
             doc = report.to_json_dict()
@@ -293,8 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--route", choices=ROUTES, default="genfun")
     p_verify.add_argument("--family", choices=("1", "2", "both"), default="1")
     p_verify.add_argument("--out", default=None, metavar="PATH")
-    p_verify.add_argument("--sabotage", default=None, metavar="SPEC",
-                          help=argparse.SUPPRESS)
     p_verify.set_defaults(func=cmd_verify)
 
     p_matrix = sub.add_parser("matrix-check", help="exact matrix realization checks")

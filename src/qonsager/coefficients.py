@@ -14,8 +14,7 @@ Both stay available through the ``literal`` flag, corrected is the default.
 Routes 1 and 2, and the q-binomial product, multiply one factor at a time as
 one running product (``exactring.running_product``): each coefficient stays
 one packed int from the first factor to the last, and only the steps that a
-caller reads are unpacked, the last one for ``coeff_table(r)`` and one per r
-for ``coeff_tables``.  Route 1 leaves the power of rho0 implicit and reads
+caller reads are unpacked.  Route 1 leaves the power of rho0 implicit and reads
 the signs (-1)^{j+p} off the product under y -> -y, rho0 -> -rho0
 (``_reduced_expansions`` says why that is sound).
 
@@ -25,11 +24,17 @@ M/N/eta recursion tables; every division is exact and asserted.
 ``lusztig_coeffs`` is the rho = 0 specialization (higher q-Serre
 coefficients), and ``qbinomial_theorem_check`` verifies the product/sum
 identity that explains the specialization.
+
+``_steps`` is the only code that turns a route name into tables, one function
+per r: ``coeff_tables`` calls each and ``coeff_table`` only the last, and the
+per-route table functions above are views of ``coeff_table`` and
+``coeff_tables``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import comb
 
 from .exactring import LaurentPoly, ProductSum, _times, running_product
@@ -169,18 +174,15 @@ def _reduced_expansions(r_max: int):
 
 def reduced_genfun_coeffs(r: int) -> CoeffTable:
     """Fill the c-table from the reduced generating polynomial (rho0 formal)."""
-    if r < 1:
-        raise ValueError("need r >= 1")
-    for expansion in _reduced_expansions(r):
-        pass  # unpack only the last expansion
-    return _reduced_table(r, expansion())
+    return coeff_table(r, "genfun")
 
 
-def _reduced_table(r: int, poly: dict) -> CoeffTable:
-    """The c-table of the reduced generating polynomial's signed expansion at
-    this r, {(i, j): LaurentPoly} with rho0 implicit (``_reduced_expansions``)."""
+def _reduced_table(r: int, expansion) -> CoeffTable:
+    """The c-table at this r from ``expansion``, the function that
+    ``_reduced_expansions`` yields for r: it unpacks the signed expansion
+    {(i, j): LaurentPoly}, rho0 implicit."""
     entries = {}
-    for (i, j), value in poly.items():
+    for (i, j), value in expansion().items():
         rem = 2 * r + 1 - i - j
         if rem < 0 or rem % 2:
             raise AssertionError(f"stray monomial x^{i} y^{j} in the expansion")
@@ -202,53 +204,26 @@ def _family_factor(s: int) -> dict:
     return {(0, 0): 1, (1, 0): square, (0, 1): beta}
 
 
-def _family_sums(r: int) -> dict:
-    """{(p, k): u^p v^k coefficient of prod_{s<=r} (1 + u [s]^2_{q^2} + v beta_s)}, the
-    sums over disjoint families of p squared q^2-integers and k beta factors."""
-    for sums in _family_runs(r):
-        pass  # unpack only the last product
-    return sums()
-
-
-def _family_runs(r_max: int):
-    """Yield, for r = 1..r_max, a function that returns ``_family_sums(r)``."""
-    return running_product({(0, 0): 1}, [_family_factor(s) for s in range(1, r_max + 1)])
-
-
-def closedform_coeff(r: int, p: int, j: int, literal: bool = False) -> LaurentPoly:
-    """The double sum over k and over ordered disjoint families
-    {s_1<...<s_p} (squared q^2-integers) and {s_{p+1}<...<s_{p+k}} (beta
-    factors), weighted by C(r-p-k, floor((j-k)/2)) -- or by the printed
-    C(r-p, floor((j-k)/2)) when literal=True."""
-    if not (0 <= p <= r):
-        raise ValueError(f"need 0 <= p <= r, got p={p}, r={r}")
-    if not (0 <= j <= r - p):
-        raise ValueError(f"closed form covers j <= r-p; use symmetry for j={j}")
-    return _closed_coeff(r, p, j, literal, _family_sums(r))
-
-
-def _closed_coeff(r: int, p: int, j: int, literal: bool, sums: dict) -> LaurentPoly:
-    """``closedform_coeff`` over ``sums``, which is ``_family_sums(r)``."""
-    total = LaurentPoly.zero()
-    for k in range(j + 1):
-        n_bin = (r - p) if literal else (r - p - k)
-        total = total + comb(n_bin, (j - k) // 2) * sums[(p, k)]
-    return total
-
-
 def closedform_table(r: int, literal: bool = False) -> CoeffTable:
-    if r < 1:
-        raise ValueError("need r >= 1")
-    return _closed_table(r, literal, _family_sums(r))
+    return coeff_table(r, "closed-literal" if literal else "closed")
 
 
-def _closed_table(r: int, literal: bool, sums: dict) -> CoeffTable:
-    """``closedform_table`` over ``sums``, which is ``_family_sums(r)``."""
+def _closed_table(r: int, literal: bool, sums) -> CoeffTable:
+    """The closed-form table at this r.  ``sums`` unpacks the u^p v^k
+    coefficients of prod_{s<=r} (1 + u [s]^2_{q^2} + v beta_s), the sums over
+    disjoint families of p squared q^2-integers and k beta factors, and entry
+    j <= r-p sums them over k, weighted by C(r-p-k, floor((j-k)/2)) -- or by
+    the printed C(r-p, floor((j-k)/2)) when literal=True."""
+    sums = sums()
     entries = {}
     for p in range(r + 1):
         width = 2 * (r - p) + 1
         for j in range(r - p + 1):
-            entries[(p, j)] = _closed_coeff(r, p, j, literal, sums)
+            total = LaurentPoly.zero()
+            for k in range(j + 1):
+                n_bin = (r - p) if literal else (r - p - k)
+                total = total + comb(n_bin, (j - k) // 2) * sums[(p, k)]
+            entries[(p, j)] = total
         for j in range(r - p + 1, width + 1):
             entries[(p, j)] = entries[(p, width - j)]
     # symmetry is imposed by the mirror fill for both weights; the literal
@@ -463,47 +438,51 @@ def recursion_coeffs(r_max: int) -> list[CoeffTable]:
     return list(coeff_tables(r_max, "recursion"))
 
 
-def coeff_tables(r_max: int, route: str = "genfun"):
-    """Yield the tables for r = 1..r_max of one route, in order.
+def _recursion_tables(r_max: int):
+    """Yield the recursion route's table for r = 1..r_max, one step each."""
+    table = None
+    for r in range(1, r_max + 1):
+        table = seed_table() if r == 1 else advance_table(table)
+        yield table
+
+
+def _steps(r_max: int, route: str):
+    """One function per r = 1..r_max, in order, that returns the route's
+    table at r; an unknown route raises ``ValueError`` at once.
 
     The genfun and closed routes multiply one running product by one factor
-    per r, and the recursion route advances one table per r, so the whole run
-    costs about as much as its last table; the Lusztig route builds each
-    table on its own.  Only the current product or table is kept; r_max < 1
-    yields nothing.
+    per r as the iterator moves, and a function unpacks only its own step.
+    The recursion route advances one table per r as the iterator moves; the
+    Lusztig route builds each table on its own.
     """
-    if r_max < 1:
-        return
     if route == "genfun":
-        for r, expansion in enumerate(_reduced_expansions(r_max), 1):
-            yield _reduced_table(r, expansion())
-    elif route in ("closed", "closed-literal"):
-        for r, sums in enumerate(_family_runs(r_max), 1):
-            yield _closed_table(r, route == "closed-literal", sums())
-    elif route == "recursion":
-        table = seed_table()
-        yield table
-        for _ in range(r_max - 1):
-            table = advance_table(table)
-            yield table
-    else:
-        for r in range(1, r_max + 1):
-            yield coeff_table(r, route)
+        return (partial(_reduced_table, r, expansion)
+                for r, expansion in enumerate(_reduced_expansions(r_max), 1))
+    if route in ("closed", "closed-literal"):
+        factors = [_family_factor(s) for s in range(1, r_max + 1)]
+        return (partial(_closed_table, r, route == "closed-literal", sums)
+                for r, sums in enumerate(running_product({(0, 0): 1}, factors), 1))
+    if route == "recursion":
+        # the iterator advances the table, and its function hands it over
+        return ((lambda table=table: table) for table in _recursion_tables(r_max))
+    if route == "lusztig":
+        return (partial(lusztig_coeffs, r) for r in range(1, r_max + 1))
+    raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
+
+
+def coeff_tables(r_max: int, route: str = "genfun"):
+    """The tables for r = 1..r_max of one route, in order, as an iterator
+    that keeps only the current product or table; r_max < 1 yields nothing."""
+    return (step() for step in _steps(r_max, route))
 
 
 def coeff_table(r: int, route: str = "genfun") -> CoeffTable:
-    """Dispatch a single table by route name."""
-    if route == "genfun":
-        return reduced_genfun_coeffs(r)
-    if route == "closed":
-        return closedform_table(r)
-    if route == "closed-literal":
-        return closedform_table(r, literal=True)
-    if route == "recursion":
-        return recursion_coeffs(r)[-1]
-    if route == "lusztig":
-        return lusztig_coeffs(r)
-    raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
+    """The table at r of one route: only the last step builds a table."""
+    if r < 1:
+        raise ValueError("need r >= 1")
+    for step in _steps(r, route):
+        pass  # build only the last table
+    return step()
 
 
 # ---------------------------------------------------------------------------

@@ -389,8 +389,13 @@ def _accumulate(plans) -> list:
                 v = packed.get(id(t))
                 if v is None:
                     v = packed[id(t)] = pack_poly(t, width, -spans[id(t)][0], stride)
-                k *= v
-            total += k << (width * ((low - least) // stride))
+                k = v if k == 1 else k * v
+            # a product by 1, a shift by 0 and an add to 0 would each copy
+            # the operand or the product
+            shift = width * ((low - least) // stride)
+            if shift:
+                k <<= shift
+            total = total + k if total else k
         out.append(unpack_poly(total, width, least, stride))
     return out
 

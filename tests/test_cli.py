@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -47,6 +49,32 @@ def test_r20_exports_are_pinned():
     table = coeff_table(20, "genfun")
     for fmt, digest in R20_EXPORT_DIGESTS.items():
         assert hashlib.sha256(_FORMATTERS[fmt](table).encode()).hexdigest() == digest, fmt
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def readme_commands():
+    """(argv, exit code) of every qonsager command in the README's sh blocks;
+    a trailing comment '... exits N ...' states a nonzero code."""
+    with open(README, encoding="utf-8") as fh:
+        blocks = [block.split("```")[0] for block in fh.read().split("```sh\n")[1:]]
+    commands = []
+    for line in "".join(blocks).splitlines():
+        command, _, comment = line.partition("#")
+        if command.startswith("qonsager "):
+            stated = re.search(r"exits (\d+)", comment)
+            commands.append((shlex.split(command)[1:], int(stated[1]) if stated else EXIT_OK))
+    return commands
+
+
+def test_readme_cli_examples_exit_as_stated(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # for --out
+    commands = readme_commands()
+    assert {code for _, code in commands} == {EXIT_OK, EXIT_RELATION, EXIT_GATE}
+    for argv, code in commands:
+        assert main(argv) == code, argv
+        capsys.readouterr()
 
 
 def test_coeffs_json_schema(capsys):
@@ -171,28 +199,16 @@ def test_verify_both_families_reduces_once_per_r(capsys, monkeypatch):
     assert len(reduced) == 4
 
 
-def test_verify_sabotage_requires_test_hooks(monkeypatch, capsys):
-    monkeypatch.delenv("QONSAGER_TEST_HOOKS", raising=False)
-    code, _, err = run(capsys, "verify", "--r-max", "2", "--sabotage", "c:2,0,1:+1")
-    assert code == EXIT_USAGE
-    assert "test hook" in err
-
-
-def test_verify_sabotage_negative_control(monkeypatch, capsys):
-    monkeypatch.setenv("QONSAGER_TEST_HOOKS", "1")
-    code, out, _ = run(capsys, "verify", "--r-max", "2", "--sabotage", "c:2,0,1:+1")
+def test_verify_closed_literal_negative_control(capsys):
+    # the printed closed-form weight first goes wrong at r = 3
+    code, out, _ = run(capsys, "verify", "--r-max", "3", "--route", "closed-literal")
     assert code == EXIT_RELATION
     docs = [json.loads(line) for line in out.strip().splitlines()]
-    assert docs[0]["result"] == "zero"
-    assert docs[1]["result"] == "nonzero"
-    assert docs[1]["residual_term_count"] > 0
-    assert "residual" in docs[1]
-
-
-def test_verify_sabotage_bad_spec(monkeypatch, capsys):
-    monkeypatch.setenv("QONSAGER_TEST_HOOKS", "1")
-    code, _, _ = run(capsys, "verify", "--r-max", "2", "--sabotage", "c:nope")
-    assert code == EXIT_USAGE
+    assert [d["r"] for d in docs] == [1, 2, 3]
+    assert [d["result"] for d in docs] == ["zero", "zero", "nonzero"]
+    assert docs[2]["residual_term_count"] > 0
+    assert docs[2]["residual"]
+    assert "residual" not in docs[0] and "residual" not in docs[1]
 
 
 def test_matrix_check_single_site(capsys):

@@ -17,7 +17,6 @@ from qonsager import (
     RHO0,
     RingElement,
     TridiagonalParams,
-    closedform_coeff,
     closedform_table,
     coeff_table,
     coeff_tables,
@@ -134,6 +133,10 @@ def test_genfun_numeric_params_reproduce_polynomial():
     assert total == direct
 
 
+def closedform_coeff(r, p, j, literal=False):
+    return closedform_table(r, literal).entry(p, j)
+
+
 def test_closedform_golden_examples():
     # c^{[2,0]}_1 = 1 + [2]_{q^2} + [4]_{q^2}/[2]_{q^2}, both weights agree
     expected = LaurentPoly.one() + I2(2) + B(2)
@@ -180,17 +183,23 @@ def closedform_by_enumeration(r, p, j, literal):
 @pytest.mark.parametrize("literal", (False, True))
 def test_closedform_matches_the_subset_enumeration(literal):
     for r in range(1, 7):
+        table = closedform_table(r, literal)
         for p in range(r + 1):
             for j in range(r - p + 1):
-                assert closedform_coeff(r, p, j, literal) == closedform_by_enumeration(
+                assert table.entry(p, j) == closedform_by_enumeration(
                     r, p, j, literal), (r, p, j, literal)
 
 
 def test_closedform_range_errors():
     with pytest.raises(ValueError):
-        closedform_coeff(3, 0, 4)  # beyond j <= r-p, symmetry territory
-    with pytest.raises(ValueError):
-        closedform_coeff(3, 4, 0)
+        closedform_table(0)
+    table = closedform_table(3)
+    # j > r-p is the mirror half of the row; past the row or p > r is outside
+    assert table.entry(0, 4) == table.entry(0, 3)
+    with pytest.raises(KeyError):
+        table.entry(0, 8)
+    with pytest.raises(KeyError):
+        table.entry(4, 0)
 
 
 def test_recursion_seed_and_first_step():
@@ -401,6 +410,32 @@ def test_route_dispatch_rejects_unknown():
         coeff_table(2, "guesswork")
     with pytest.raises(ValueError):
         coeff_table(0, "genfun")
+    # at the call, before any table, and also where no table would be built
+    for r_max in (0, 3):
+        with pytest.raises(ValueError, match="unknown route"):
+            coeff_tables(r_max, "guesswork")
+
+
+# the function that builds one table of each route, and how often
+# coeff_table(8, route) may call it: once, or once per step r -> r + 1
+SINGLE_TABLE_BUILDS = {
+    "genfun": ("_reduced_table", 1),
+    "closed": ("_closed_table", 1),
+    "closed-literal": ("_closed_table", 1),
+    "lusztig": ("lusztig_coeffs", 1),
+    "recursion": ("advance_table", 7),
+}
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_a_single_table_is_built_once(route, monkeypatch):
+    name, expected = SINGLE_TABLE_BUILDS[route]
+    build = getattr(qonsager.coefficients, name)
+    calls = []
+    monkeypatch.setattr(qonsager.coefficients, name,
+                        lambda *args: calls.append(args) or build(*args))
+    assert coeff_table(8, route).r == 8
+    assert len(calls) == expected
 
 
 # SHA-256 of the r = 12 JSON exports (qonsager coeffs --r 12 --route ROUTE),

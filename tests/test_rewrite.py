@@ -19,6 +19,7 @@ from qonsager import (
     RingElement,
     build_relation_lhs,
     coeff_table,
+    coeff_tables,
     measure,
     normal_form,
     normal_form_with_stats,
@@ -28,9 +29,10 @@ from qonsager import (
     reduce_once,
     trace_reduction,
 )
+import qonsager.cli
 import qonsager.verify
 from qonsager import rewrite
-from qonsager.cli import TEST_HOOKS_ENV, main
+from qonsager.cli import main
 from qonsager.exactring import pack_poly, unpack_poly
 from qonsager.rewrite import _apply_rule_at, _packed_view, _pow_nf, _x_poly, is_normal
 from conftest import rand_word
@@ -422,8 +424,14 @@ def test_packing_checks_raise_outright():
         unpack_poly((-64) << 16, 8)
 
 
-def verify_lines(capsys, *argv):
-    """verify's JSON lines without the timing field."""
+def verify_lines(monkeypatch, capsys, argv, sabotage):
+    """verify's JSON lines without the timing field, with the table of
+    r = sabotage[0] replaced by ``sabotaged_table(*sabotage)`` (none for None)."""
+    def tables(r_max, route):
+        for table in coeff_tables(r_max, route):
+            yield sabotaged_table(*sabotage) if sabotage and table.r == sabotage[0] else table
+
+    monkeypatch.setattr(qonsager.cli, "coeff_tables", tables)
     main(["verify", *argv])
     docs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     for doc in docs:
@@ -432,11 +440,10 @@ def verify_lines(capsys, *argv):
 
 
 def test_verify_json_is_the_same_on_both_views(monkeypatch, capsys):
-    monkeypatch.setenv(TEST_HOOKS_ENV, "1")
-    runs = (("--r-max", "6", "--family", "both"),
-            ("--r-max", "5", "--family", "both", "--sabotage", "c:5,2,3:-2"),
-            ("--r-max", "4", "--family", "both", "--sabotage", "c:4,4,1:+1"))
-    packed = [verify_lines(capsys, *argv) for argv in runs]
+    runs = ((("--r-max", "6", "--family", "both"), None),
+            (("--r-max", "5", "--family", "both"), (5, 2, 3, -2)),
+            (("--r-max", "4", "--family", "both"), (4, 4, 1, 1)))
+    packed = [verify_lines(monkeypatch, capsys, *run) for run in runs]
     ring = {}
 
     def ring_view(x):
@@ -446,5 +453,5 @@ def test_verify_json_is_the_same_on_both_views(monkeypatch, capsys):
         return ring[x]
 
     monkeypatch.setattr(qonsager.verify, "normal_form_with_stats", ring_view)
-    assert [verify_lines(capsys, *argv) for argv in runs] == packed
+    assert [verify_lines(monkeypatch, capsys, *run) for run in runs] == packed
     assert packed[1][-1]["residual"] and packed[2][-1]["residual"]
