@@ -121,11 +121,20 @@ def _laurent_to_latex(value: LaurentPoly) -> str:
     return signed_join(pieces)
 
 
+def _shape(value: LaurentPoly) -> tuple:
+    """A nonzero LaurentPoly's greatest exponent and term count: a key that
+    is cheap to compute, unlike the hash of all its terms."""
+    return max(value.terms), len(value.terms)
+
+
 def _qbinom_index(r: int) -> dict:
+    """The [n choose k]_q for n <= 2r+2, k <= n/2, as {shape: [(value, (n, k))]}
+    in order of n and k (``_shape``)."""
     index = {}
     for n in range(2 * r + 3):
         for k in range(n // 2 + 1):
-            index.setdefault(qbinomial(n, k), (n, k))
+            value = qbinomial(n, k)
+            index.setdefault(_shape(value), []).append((value, (n, k)))
     return index
 
 
@@ -147,11 +156,10 @@ def table_to_latex(table: CoeffTable) -> str:
             cell = "0"
         elif value == one:
             cell = "1"
-        elif value in index:
-            n, k = index[value]
-            cell = f"\\qbinom{{{n}}}{{{k}}}"
         else:
-            cell = _laurent_to_latex(value)
+            # the first equal q-binomial, else the raw polynomial
+            cell = next((f"\\qbinom{{{n}}}{{{k}}}" for binom, (n, k) in index.get(_shape(value), ())
+                         if binom == value), None) or _laurent_to_latex(value)
         lines.append(f"{p} & {j} & ${cell}$ \\\\")
     lines.extend(["\\hline", "\\end{tabular}"])
     return "\n".join(lines) + "\n"

@@ -19,7 +19,12 @@ the signs (-1)^{j+p} off the product under y -> -y, rho0 -> -rho0
 (``_reduced_expansions`` says why that is sound).
 
 Route 3 (``recursion_coeffs``): the inductive r -> r+1 step through the
-M/N/eta recursion tables; every division is exact and asserted.
+M/N/eta recursion tables; every division is exact and asserted.  A step
+runs on the packed values of one ``exactring.PackedRing`` of stride 2: each
+level-r entry, eta value and new leading entry is packed once, M and N stay
+packed, and only the new entries and the M/N values that the divisions
+read are unpacked, at a width that the tracked norms prove; a first width
+that turns out too narrow reruns the step (``advance_table``).
 
 ``lusztig_coeffs`` is the rho = 0 specialization (higher q-Serre
 coefficients), and ``qbinomial_theorem_check`` verifies the product/sum
@@ -37,7 +42,7 @@ from dataclasses import dataclass
 from functools import partial
 from math import comb
 
-from .exactring import LaurentPoly, ProductSum, _times, running_product
+from .exactring import LaurentPoly, PackedRing, WidthTooNarrow, _times, _width, running_product
 from .qnumbers import qbinomial, reduced_tridiagonal_params
 from .rewrite import ETA
 
@@ -217,13 +222,16 @@ def _closed_table(r: int, literal: bool, sums) -> CoeffTable:
     sums = sums()
     entries = {}
     for p in range(r + 1):
-        width = 2 * (r - p) + 1
         for j in range(r - p + 1):
-            total = LaurentPoly.zero()
+            # one accumulation over k of the weighted sums
+            total = {}
             for k in range(j + 1):
-                n_bin = (r - p) if literal else (r - p - k)
-                total = total + comb(n_bin, (j - k) // 2) * sums[(p, k)]
-            entries[(p, j)] = total
+                weight = comb((r - p) if literal else (r - p - k), (j - k) // 2)
+                if weight:
+                    for e, c in sums[(p, k)].terms.items():
+                        total[e] = total.get(e, 0) + weight * c
+            entries[(p, j)] = LaurentPoly(total)
+        width = 2 * (r - p) + 1
         for j in range(r - p + 1, width + 1):
             entries[(p, j)] = entries[(p, width - j)]
     # symmetry is imposed by the mirror fill for both weights; the literal
@@ -245,38 +253,45 @@ class RecursionTables:
     support; lookups outside are zero.
 
     Each array is one formula over one index range.  The level-r entries
-    are read through ``CoeffTable.get``, zero outside the triangle, so the
-    boundary entries (j = 0, the last one or two j of a row, the row
-    p = r + 1 of N) are the general formula with the missing entries
-    dropped, and the row p = 1 of N is the general formula at
-    c_0^{[r,0]} = 1 (its j = 0 entry vanishes).
+    are read zero outside the triangle, so the boundary entries (j = 0, the
+    last one or two j of a row, the row p = r + 1 of N) are the general
+    formula with the missing entries dropped, and the row p = 1 of N is the
+    general formula at c_0^{[r,0]} = 1 (its j = 0 entry vanishes).
+
+    The level-r entries (``c``) and the arrays are ``Packed`` values of one
+    ``PackedRing`` of stride 2, at ``ring`` or else at the table's first
+    width guess (``_first_width``); ``m`` and ``n`` unpack, and raise
+    ``WidthTooNarrow`` at construction when the ring does not prove every
+    array entry.
     """
 
-    def __init__(self, table: CoeffTable):
-        # every entry is one sum over the level-r entries, all evaluated in
-        # one sums_of_products
+    def __init__(self, table: CoeffTable, ring: PackedRing = None):
         self.r = r = table.r
+        self.ring = ring = ring or PackedRing(_first_width(table), 2)
+        self.c = {key: ring.pack(value) for key, value in table.entries.items()}
+        zero = ring.zero
 
         def c(p, j):
-            return ProductSum.of(table.get(p, j))
+            return self.c.get((p, j), zero)
 
         c1 = c(0, 1)
-        c11_2 = ProductSum.of(ProductSum.evaluate_all([c1 * c1 - c(0, 2)])[0])
-        m = {(p, j): c(p, j) - c1 * c(p, j - 1)
-             for p in range(r + 1)
-             for j in range(2 if p == 0 else 0, 2 * (r - p) + 3)}
-        n = {(p, j): c11_2 * c(p, j - 2) - c1 * c(p, j - 1) + c(p, j) - c(1, 0) * c(p - 1, j)
-             for p in range(r + 2)
-             for j in range(3 if p == 0 else 0, 2 * (r - p) + 4)}
-        values = iter(ProductSum.evaluate_all([*m.values(), *n.values()]))
-        self._m = {key: next(values) for key in m}
-        self._n = {key: next(values) for key in n}
+        one = table.entry(0, 1)
+        c11_2 = ring.pack(one * one - table.entry(0, 2))
+        self._m = {(p, j): c(p, j) - c1 * c(p, j - 1)
+                   for p in range(r + 1)
+                   for j in range(2 if p == 0 else 0, 2 * (r - p) + 3)}
+        self._n = {(p, j): c11_2 * c(p, j - 2) - c1 * c(p, j - 1) + c(p, j) - c(1, 0) * c(p - 1, j)
+                   for p in range(r + 2)
+                   for j in range(3 if p == 0 else 0, 2 * (r - p) + 4)}
+        ring.check(max(v.sup for v in (*self._m.values(), *self._n.values())))
 
     def m(self, p: int, j: int) -> LaurentPoly:
-        return self._m.get((p, j), LaurentPoly.zero())
+        value = self._m.get((p, j))
+        return LaurentPoly.zero() if value is None else self.ring.unpack(value)
 
     def n(self, p: int, j: int) -> LaurentPoly:
-        return self._n.get((p, j), LaurentPoly.zero())
+        value = self._n.get((p, j))
+        return LaurentPoly.zero() if value is None else self.ring.unpack(value)
 
 
 def seed_table() -> CoeffTable:
@@ -293,6 +308,12 @@ def _eta2(m: int, k: int) -> LaurentPoly:
     return ETA.value(m, k, 2)
 
 
+def _first_width(table: CoeffTable) -> int:
+    """The width a step from ``table`` tries first, from 2^9 times its largest
+    entry 1-norm: through r = 20 every bound of a step stays below that."""
+    return _width(max(sum(map(abs, value.terms.values())) for value in table.entries.values()) << 9)
+
+
 def advance_table(table: CoeffTable) -> CoeffTable:
     """One inductive step r -> r+1.
 
@@ -302,6 +323,24 @@ def advance_table(table: CoeffTable) -> CoeffTable:
     formulas of the inductive combination; the palindromic symmetry of the
     result is asserted, which cross-validates the overlapping families.
 
+    The step runs on ``Packed`` values of one ``PackedRing`` of stride 2,
+    first at ``_first_width``; a value that the ring cannot prove before it
+    is packed or unpacked reruns the whole step at the width that proves it
+    (``WidthTooNarrow``).
+    """
+    width = _first_width(table)
+    while True:
+        try:
+            entries = _advance(table, PackedRing(width, 2))
+        except WidthTooNarrow as exc:
+            width = exc.width
+        else:
+            return CoeffTable(r=table.r + 1, route="recursion", entries=entries).check()
+
+
+def _advance(table: CoeffTable, ring: PackedRing) -> dict:
+    """The entries of the level-(r+1) table (``advance_table``) on ``ring``.
+
     M and N are read as zero outside their tables (``RecursionTables``), so
     each column family is one formula over one index range: the last row
     p = r + 1 of the j = 0 and j = 1 columns and the row p = 1 of the j >= 5
@@ -310,7 +349,7 @@ def advance_table(table: CoeffTable) -> CoeffTable:
     eta^{(m)}_{k,2} off its grid (m < 3 or k < 0) there.
     """
     r = table.r
-    mn = RecursionTables(table)
+    mn = RecursionTables(table, ring)
     new: dict = {}
 
     # leading entries from the two lowest-order vanishing conditions
@@ -327,20 +366,27 @@ def advance_table(table: CoeffTable) -> CoeffTable:
            + 2 * table.entry(1, 0))
     new[(1, 0)] = c01
 
-    # the formulas below run over deferred sums of the level-r entries, M, N,
-    # the new leading entries and the eta values; put records each one, and
-    # all of them are evaluated in one sums_of_products at the end
-    leaf = ProductSum.of
-    c1_new, c2_new, c01 = leaf(c1_new), leaf(c2_new), leaf(c01)
+    # the formulas below run over the packed level-r entries, M, N, new
+    # leading entries and eta values, each packed once; put records each
+    # result, and all of them are unpacked at the end
+    c1_new, c2_new, c01 = ring.pack(c1_new), ring.pack(c2_new), ring.pack(c01)
+    zero = ring.zero
+    etas = {}
 
     def c(p, j):
-        return leaf(table.get(p, j))
+        return mn.c.get((p, j), zero)
 
     def m(p, j):
-        return leaf(mn.m(p, j))
+        return mn._m.get((p, j), zero)
 
     def n(p, j):
-        return leaf(mn.n(p, j))
+        return mn._n.get((p, j), zero)
+
+    def eta2(m, k):
+        value = etas.get((m, k))
+        if value is None:
+            value = etas[(m, k)] = ring.pack(_eta2(m, k))
+        return value
 
     puts = []
 
@@ -364,32 +410,32 @@ def advance_table(table: CoeffTable) -> CoeffTable:
     for p in range(1, r + 1):
         val = c2_new * c(p, 0)
         for i in range(p):
-            val = val + _sgn(i + p) * n(i, 2 * (p - i) + 2) * _eta2(2 * (p - i) + 2, 0)
+            val = val + _sgn(i + p) * n(i, 2 * (p - i) + 2) * eta2(2 * (p - i) + 2, 0)
             val = val + _sgn(i + p + 1) * c1_new * m(i, 2 * (p - i) + 1)
         for i in range(p - 1):
-            val = val + _sgn(i + p + 1) * c01 * c(i, 2 * (p - i)) * _eta2(2 * (p - i), 0)
+            val = val + _sgn(i + p + 1) * c01 * c(i, 2 * (p - i)) * eta2(2 * (p - i), 0)
         put(p, 2, val)
 
     # j = 3 column
     for p in range(1, r + 1):
-        val = ProductSum()
+        val = zero
         for i in range(p + 1):
-            val = val + _sgn(i + p) * n(i, 2 * (p - i) + 3) * _eta2(2 * (p - i) + 3, 1)
+            val = val + _sgn(i + p) * n(i, 2 * (p - i) + 3) * eta2(2 * (p - i) + 3, 1)
         for i in range(p):
-            val = val + _sgn(i + p) * c1_new * m(i, 2 * (p - i) + 2) * _eta2(2 * (p - i) + 2, 0)
+            val = val + _sgn(i + p) * c1_new * m(i, 2 * (p - i) + 2) * eta2(2 * (p - i) + 2, 0)
             val = val + _sgn(i + p + 1) * c2_new * c(i, 2 * (p - i) + 1)
-            val = val + _sgn(i + p + 1) * c01 * c(i, 2 * (p - i) + 1) * _eta2(2 * (p - i) + 1, 1)
+            val = val + _sgn(i + p + 1) * c01 * c(i, 2 * (p - i) + 1) * eta2(2 * (p - i) + 1, 1)
         put(p, 3, val)
 
     # j = 4 column
     for p in range(1, r):
-        val = ProductSum()
+        val = zero
         for i in range(p + 1):
-            val = val + _sgn(i + p) * n(i, 2 * (p - i) + 4) * _eta2(2 * (p - i) + 4, 1)
-            val = val + _sgn(i + p) * c1_new * m(i, 2 * (p - i) + 3) * _eta2(2 * (p - i) + 3, 1)
+            val = val + _sgn(i + p) * n(i, 2 * (p - i) + 4) * eta2(2 * (p - i) + 4, 1)
+            val = val + _sgn(i + p) * c1_new * m(i, 2 * (p - i) + 3) * eta2(2 * (p - i) + 3, 1)
         for i in range(p):
-            val = val + _sgn(i + p) * c2_new * c(i, 2 * (p - i) + 2) * _eta2(2 * (p - i) + 2, 0)
-            val = val + _sgn(i + p + 1) * c01 * c(i, 2 * (p - i) + 2) * _eta2(2 * (p - i) + 2, 1)
+            val = val + _sgn(i + p) * c2_new * c(i, 2 * (p - i) + 2) * eta2(2 * (p - i) + 2, 0)
+            val = val + _sgn(i + p + 1) * c01 * c(i, 2 * (p - i) + 2) * eta2(2 * (p - i) + 2, 1)
         put(p, 4, val)
 
     # odd j >= 5  (the first group runs over odd-index N entries; the
@@ -398,37 +444,40 @@ def advance_table(table: CoeffTable) -> CoeffTable:
     for jj in range(2, r + 1):
         for k in range(1, jj):
             p = jj - k
-            val = ProductSum()
+            val = zero
             for i in range(jj - k + 1):
                 sgn = _sgn(i + jj + k)
-                val = val + sgn * n(i, 2 * (jj - i) + 3) * _eta2(2 * (jj - i) + 3, k + 1)
-                val = val + sgn * c1_new * m(i, 2 * (jj - i) + 2) * _eta2(2 * (jj - i) + 2, k)
-                val = val + sgn * c2_new * c(i, 2 * (jj - i) + 1) * _eta2(2 * (jj - i) + 1, k)
+                val = val + sgn * n(i, 2 * (jj - i) + 3) * eta2(2 * (jj - i) + 3, k + 1)
+                val = val + sgn * c1_new * m(i, 2 * (jj - i) + 2) * eta2(2 * (jj - i) + 2, k)
+                val = val + sgn * c2_new * c(i, 2 * (jj - i) + 1) * eta2(2 * (jj - i) + 1, k)
             for i in range(jj - k):
-                val = val + _sgn(i + jj + k + 1) * c01 * c(i, 2 * (jj - i) + 1) * _eta2(2 * (jj - i) + 1, k + 1)
+                val = val + _sgn(i + jj + k + 1) * c01 * c(i, 2 * (jj - i) + 1) * eta2(2 * (jj - i) + 1, k + 1)
             put(p, 2 * k + 3, val)
 
     # even j >= 6
     for jj in range(3, r + 1):
         for k in range(2, jj):
             p = jj - k
-            val = ProductSum()
+            val = zero
             for i in range(jj - k + 1):
                 sgn = _sgn(i + jj + k)
-                val = val + sgn * n(i, 2 * (jj - i) + 2) * _eta2(2 * (jj - i) + 2, k)
-                val = val + sgn * c1_new * m(i, 2 * (jj - i) + 1) * _eta2(2 * (jj - i) + 1, k)
-                val = val + sgn * c2_new * c(i, 2 * (jj - i)) * _eta2(2 * (jj - i), k - 1)
+                val = val + sgn * n(i, 2 * (jj - i) + 2) * eta2(2 * (jj - i) + 2, k)
+                val = val + sgn * c1_new * m(i, 2 * (jj - i) + 1) * eta2(2 * (jj - i) + 1, k)
+                val = val + sgn * c2_new * c(i, 2 * (jj - i)) * eta2(2 * (jj - i), k - 1)
             for i in range(jj - k):
-                val = val + _sgn(i + jj + k + 1) * c01 * c(i, 2 * (jj - i)) * _eta2(2 * (jj - i), k)
+                val = val + _sgn(i + jj + k + 1) * c01 * c(i, 2 * (jj - i)) * eta2(2 * (jj - i), k)
             put(p, 2 * k + 2, val)
 
-    for ((p, j), _), value in zip(puts, ProductSum.evaluate_all([v for _, v in puts])):
+    # every bound is known before any entry is unpacked
+    ring.check(max(value.sup for _, value in puts))
+    for (p, j), value in puts:
+        value = ring.unpack(value)
         old = new.get((p, j))
         if old is not None and old != value:
             raise AssertionError(
                 f"recursion inconsistency at r={r + 1} (p={p}, j={j})")
         new[(p, j)] = value
-    return CoeffTable(r=r + 1, route="recursion", entries=new).check()
+    return new
 
 
 def recursion_coeffs(r_max: int) -> list[CoeffTable]:

@@ -21,48 +21,53 @@ freely.
 ``LaurentPoly.__mul__`` is the only arithmetic override.  An int or a
 one-term operand scales term by term, a product of fewer than
 ``_SCHOOLBOOK_PAIRS`` term pairs runs the schoolbook loop, and the rest is
-the one-product case of the packed accumulator, on the same path as any
-other sum (the operand of a square a a is measured and packed once, as is
-any operand that a call shares).
+one packed product, ``_packed_product`` (the operand of a square a a is
+measured and packed once).
 
-The packed accumulator, ``sums_of_products``, computes sums
-S = sum_t k_t f_t1 ... f_tm of int-weighted products of LaurentPolys;
-``ProductSum`` collects such a sum from a formula.  One-term factors fold
-into k_t and a shift.  With g the gcd of the exponent gaps of every operand
-and of the gaps between the products' least exponents, each distinct
-operand is read as a polynomial in X = q^g from its least exponent and
-evaluated at X = 2^W once (``pack_poly``).  A product is k_t times the int
-product of its packed operands, shifted by the distance in X from S's least
-exponent to its own; the products are added as ints, and the balanced
-base-2^W digits of the total (``unpack_poly``) are the coefficients of S.
-Shifts, products and sums of ints are exact, so the total is S at X = 2^W.
-Sums evaluated in one call share W and g, so an operand they share is
-packed once.  A sum of fewer than ``_SCHOOLBOOK_PAIRS`` term pairs, or with
-at least as many slots as term pairs (a sparse operand such as
-q^(10^6) + q^(-10^6)), goes term by term instead.
+The packed product is a Kronecker substitution.  With g the gcd of the
+exponent gaps of both operands, each operand is read as a polynomial in
+X = q^g from its least exponent and evaluated at X = 2^W once
+(``pack_poly``).  The int product of the two is the product at X = 2^W, and
+its balanced base-2^W digits (``unpack_poly``) are the coefficients of a b.
+A product that spans at least as many slots as it has term pairs (a sparse
+operand such as q^(10^6) + q^(-10^6)) goes term by term instead.
 
 Why W suffices.  Write |f|_1 for the sum and |f|_inf for the largest of the
-absolute values of f's coefficients.  A coefficient of f_1 ... f_m is a sum
-of c_1 ... c_m over one term of each factor, the exponents adding up to its
-own; once the terms of every factor but f_i are chosen at most one term of
-f_i fits, so for each i the coefficient is at most
-|f_i|_inf prod_{j != i} |f_j|_1 in absolute value.  By the triangle
-inequality every coefficient of S is at most
-B = sum_t |k_t| min_i |f_ti|_inf prod_{j != i} |f_tj|_1, which also bounds
-every operand coefficient, so the operands fit their slots.  A call takes
-the largest B of its packed sums, below 2^(K-2) for K = bit_length(B) + 2.
-For a lone product a b, B = min(|a|_inf |b|_1, |a|_1 |b|_inf), never more
-than min(len a, len b) max|a| max|b|.  W is K, rounded up to 8, 16, 32 or
-64 bits when K is at most 64 (the digits then move through ``array`` as
-machine words) and to a multiple of 8 above (they then move as bytes).  The
-balanced base-2^W digits of an int, each in
+absolute values of f's coefficients.  A coefficient of a b is a sum of
+c_a c_b over one term of each operand, the exponents adding up to its own;
+once the term of b is chosen at most one term of a fits, so the coefficient
+is at most |a|_inf |b|_1 in absolute value, and likewise at most
+|a|_1 |b|_inf.  So B = min(|a|_inf |b|_1, |a|_1 |b|_inf), never more than
+min(len a, len b) max|a| max|b|, bounds every coefficient of a b, a and b,
+below 2^(K-2) for K = bit_length(B) + 2.  W is K, rounded up to 8, 16, 32
+or 64 bits when K is at most 64 (the slots then move through ``array`` as
+machine words) and to a multiple of 8 above (they then move as bytes, one
+``int.to_bytes`` per slot).  The balanced base-2^W digits of an int, each in
 [-2^(W-1), 2^(W-1)), are unique, so a sum of c_k 2^(Wk) with every |c_k|
-below 2^(W-1) has exactly the c_k as its digits: the digits of the packed
-total are the coefficients of S.  There is no fixed width, and nothing
-wraps.  The same codec carries ``rewrite``'s packed reduction, whose width
-argument is in that module's docstring.  ``pack_poly`` still checks every
-slot and ``unpack_poly`` every digit against 2^(W-2), and both raise
-``AssertionError`` (not ``assert``, so the checks stay under ``python -O``).
+below 2^(W-1) has exactly the c_k as its digits.  There is no fixed width,
+and nothing wraps.  The same codec carries ``rewrite``'s packed reduction,
+whose width argument is in that module's docstring; its widths need not be
+multiples of 8, and those slots move as binary text.  ``pack_poly`` checks
+every slot against 2^(W-1) and every exponent against the stride lattice
+(a term off it would have no slot), ``unpack_poly`` every digit against
+2^(W-2), and both raise ``AssertionError`` (not ``assert``, so the checks
+stay under ``python -O``).
+
+Packed values.  A computation of many sums and products, such as one step
+of the coefficient recursion, runs on one ``PackedRing``: one width W and
+one stride g, every exponent a multiple of g.  A ``Packed`` value
+f = q^low h(q^g) is the int h(2^W), its least exponent low, and bounds
+one >= |f|_1 and sup >= |f|_inf, exact when packed.  A sum shifts the
+operand of the greater low by W (low gap / g) bits and adds, with
+|a + b| <= |a| + |b| in both norms; k a scales both bounds by |k|; a
+product is the int product, lows adding, with |a b|_1 <= |a|_1 |b|_1 and
+|a b|_inf <= min(|a|_inf |b|_1, |a|_1 |b|_inf) as above.  Evaluation at
+X = 2^W is a ring homomorphism, so each value is h(2^W) exactly whatever W
+is; only packing and unpacking need the width.  The ring packs or unpacks
+a value only when its bound is below 2^(W-2) (``PackedRing.check``), and
+otherwise raises ``WidthTooNarrow``, which names the width that proves it,
+before it touches the value; the caller reruns at that width.  So a value
+is only ever unpacked at a proved width.
 
 The running product, ``running_product``, multiplies start f_1 ... f_s one
 factor at a time over {key tuple: LaurentPoly or int}, the keys being the
@@ -110,7 +115,7 @@ def pair_add(a: tuple, b: tuple) -> tuple:
     return (a[0] + b[0], a[1] + b[1])
 
 
-# A sum of products with fewer term pairs than this goes term by term:
+# A product with fewer term pairs than this goes term by term:
 # packing costs a few conversions per operand term and per slot, which pays
 # from about 64 pairs on.  On the coeffs benchmark 91% of the term products
 # sit in products of at least 64 pairs; in reduction about half the products
@@ -133,13 +138,14 @@ def _slot_bias(width: int, slots: int) -> int:
 
 def pack_poly(poly: dict, width: int, offset: int = 0, stride: int = 1) -> int:
     """The sum of c X^((e + offset) / stride) over the terms {e: c} of poly,
-    at X = 2^width.  Every e + offset must be a multiple of stride, and every
-    |c| below 2^(width-1).
+    at X = 2^width.  Every c must be nonzero, every e + offset a multiple of
+    stride, and every |c| below 2^(width-1); a breach raises AssertionError.
 
-    At a word width the coefficients go into one ``array`` of two's-complement
-    slots; otherwise their magnitudes go into two binary strings, one for the
-    positive and one for the negative terms.  Either way the work is linear
-    in the number of slots.
+    When width is a multiple of 8 the coefficients go into two's-complement
+    slots, through one ``array`` at a word width and as ``int.to_bytes`` per
+    slot above; otherwise their magnitudes go into two binary strings, one
+    for the positive and one for the negative terms.  Either way the work is
+    linear in the number of slots.
     """
     if not poly:
         return 0
@@ -148,21 +154,9 @@ def pack_poly(poly: dict, width: int, offset: int = 0, stride: int = 1) -> int:
         raise AssertionError(f"negative X exponent {first} in a packed coefficient")
     # slots from the first nonzero one; the empty ones below it are a shift
     slots = (max(poly) + offset) // stride + 1 - first
-    code = _WORD_CODES.get(width)
-    if code is not None:
-        start = first * stride - offset
-        exps = range(start, start + slots * stride, stride)
-        try:
-            words = array(code, [poly.get(e, 0) for e in exps])
-        except OverflowError:
-            raise AssertionError(f"a packed coefficient needs more than {width} bits") from None
-        if sys.byteorder == "big":
-            words.byteswap()
-        # slot i of the bytes holds c_i mod 2^width; xor with the bias gives
-        # c_i + 2^(width-1), with no borrow between slots
-        bias = _slot_bias(width, slots)
-        value = (int.from_bytes(words.tobytes(), "little") ^ bias) - bias
-    else:
+    if width % 8:
+        if stride > 1 and any((e + offset) % stride for e in poly):
+            raise AssertionError(f"an exponent off the stride-{stride} lattice in a packed coefficient")
         fmt = f"0{width}b"
         top = first + slots - 1
         pos, neg = ["0" * width] * slots, ["0" * width] * slots
@@ -171,8 +165,28 @@ def pack_poly(poly: dict, width: int, offset: int = 0, stride: int = 1) -> int:
         pos, neg = "".join(pos), "".join(neg)
         if len(pos) + len(neg) != 2 * slots * width:
             raise AssertionError(f"a packed coefficient needs more than {width} bits")
-        value = int(pos, 2) - int(neg, 2)
-    return value << (width * first)
+        return int(pos, 2) - int(neg, 2) << (width * first)
+    start = first * stride - offset
+    coeffs = [poly.get(e, 0) for e in range(start, start + slots * stride, stride)]
+    # a term off the lattice has no slot: it is missing from coeffs
+    if stride > 1 and len(coeffs) - coeffs.count(0) != len(poly):
+        raise AssertionError(f"an exponent off the stride-{stride} lattice in a packed coefficient")
+    code = _WORD_CODES.get(width)
+    try:
+        if code is not None:
+            words = array(code, coeffs)
+            if sys.byteorder == "big":
+                words.byteswap()
+            raw = words.tobytes()
+        else:
+            size = width // 8
+            raw = b"".join([c.to_bytes(size, "little", signed=True) for c in coeffs])
+    except OverflowError:
+        raise AssertionError(f"a packed coefficient needs more than {width} bits") from None
+    # slot i of the bytes holds c_i mod 2^width; xor with the bias gives
+    # c_i + 2^(width-1), with no borrow between slots
+    bias = _slot_bias(width, slots)
+    return (int.from_bytes(raw, "little") ^ bias) - bias << (width * first)
 
 
 def unpack_poly(value: int, width: int, base: int = 0, stride: int = 1) -> dict:
@@ -230,61 +244,6 @@ def _schoolbook(a: dict, b: dict) -> dict:
     return out
 
 
-def _termwise_sum(rows) -> dict:
-    """The sum of k q^shift f_1 ... f_m over rows (k, shift, [f_1, ..., f_m])
-    of {exponent: int} operands, term pair by term pair."""
-    out = {}
-    for k, shift, used in rows:
-        if used:
-            prod = {shift + e: k * c for e, c in used[0].items()}
-            for t in used[1:]:
-                prod = _schoolbook(prod, t)
-        else:
-            prod = {shift: k}
-        if not out:
-            out = prod
-            continue
-        for e, c in prod.items():
-            c += out.get(e, 0)
-            if c:
-                out[e] = c
-            elif e in out:
-                del out[e]
-    return out
-
-
-def sums_of_products(sums) -> list:
-    """Each of ``sums``, an iterable of pairs (k, (f_1, ..., f_m)) of an int
-    weight and LaurentPolys, as the canonical {exponent: int} of the sum of
-    k f_1 ... f_m over its pairs (``_accumulate``); one-term factors fold
-    into the weight and a shift."""
-    plans = []
-    for products in sums:
-        rows = []
-        pairs = 0
-        for k, factors in products:
-            shift = 0
-            size = 1
-            used = []
-            for f in factors:
-                t = f.terms
-                if len(t) > 1:
-                    used.append(t)
-                    size *= len(t)
-                elif t:
-                    ((e, c),) = t.items()
-                    k *= c
-                    shift += e
-                else:
-                    break
-            else:
-                if k:
-                    rows.append((k, shift, used))
-                    pairs += size
-        plans.append((rows, pairs))
-    return _accumulate(plans)
-
-
 def _span(t: dict) -> tuple:
     """What packing needs to know of an {exponent: int} operand: its least
     and greatest exponent, the gcd of its exponent gaps, its 1-norm and its
@@ -292,20 +251,6 @@ def _span(t: dict) -> tuple:
     lo = min(t)
     vals = t.values()
     return lo, max(t), gcd(*map((-lo).__add__, t)), sum(map(abs, vals)), max(map(abs, vals))
-
-
-def _bound(k: int, spans) -> int:
-    """The bound B of one product k f_1 ... f_m from the ``_span`` of each
-    f_i (module docstring): |k| times the sup norm of one operand times the
-    1-norms of the others, for the operand with the least sup norm per
-    1-norm; |k| for no operand."""
-    one = 1
-    best = None
-    for span in spans:
-        one *= span[3]
-        if best is None or span[4] * best[3] < best[4] * span[3]:
-            best = span
-    return abs(k) * (best[4] * (one // best[3]) if best else 1)
 
 
 def _width(bound: int) -> int:
@@ -317,87 +262,122 @@ def _width(bound: int) -> int:
     return -(-width // 8) * 8
 
 
-def _accumulate(plans) -> list:
-    """The sums of plans (rows, pairs) as canonical {exponent: int}: each row
-    (k, shift, [t_1, ..., t_m]) is k q^shift t_1 ... t_m over {exponent: int}
-    operands of two or more terms, and pairs counts the sum's term pairs.
+def _packed_product(a: dict, b: dict) -> dict:
+    """The product of two {exponent: int} operands of two or more terms, as
+    one int product of their packings (module docstring); a product that
+    spans at least as many slots as it has term pairs goes term by term."""
+    lo_a, hi_a, gap_a, one_a, sup_a = _span(a)
+    lo_b, hi_b, gap_b, one_b, sup_b = _span(b) if b is not a else (lo_a, hi_a, gap_a, one_a, sup_a)
+    stride = gcd(gap_a, gap_b) or 1
+    if (hi_a + hi_b - lo_a - lo_b) // stride >= len(a) * len(b):
+        return _schoolbook(a, b)
+    width = _width(min(sup_a * one_b, one_a * sup_b))
+    packed = pack_poly(a, width, -lo_a, stride)
+    if b is not a:
+        packed *= pack_poly(b, width, -lo_b, stride)
+    else:
+        packed *= packed
+    return unpack_poly(packed, width, lo_a + lo_b, stride)
 
-    A sum of at least ``_SCHOOLBOOK_PAIRS`` term pairs that spans fewer
-    exponent slots than it has term pairs is one packed accumulation (module
-    docstring); the packed sums share one width and one stride, so an operand
-    that several of them use is measured and packed once.  The other sums go
-    term by term.
-    """
-    # A sum's own stride is the gcd of its operands' exponent gaps and of the
-    # gaps between its products' least exponents; its bound adds ``_bound``
-    # over its products.
-    spans = {}  # id(operand) -> _span(operand)
-    dense = []  # per sum: (least exponent per product, least, greatest, bound) or None
-    stride = 0
-    for rows, pairs in plans:
-        if pairs < _SCHOOLBOOK_PAIRS:
-            dense.append(None)
-            continue
-        lows = []
-        least = top = None
-        own = bound = 0
-        for k, low, used in rows:
-            high = low
-            row = []
-            for t in used:
-                span = spans.get(id(t))
-                if span is None:
-                    span = spans[id(t)] = _span(t)
-                low += span[0]
-                high += span[1]
-                own = gcd(own, span[2])
-                row.append(span)
-            bound += _bound(k, row)
-            lows.append(low)
-            if least is None:
-                least, top = low, high
-            else:
-                own = gcd(own, low - least)
-                least, top = min(least, low), max(top, high)
-        own = own or 1
-        if (top - least) // own < pairs:
-            dense.append((lows, least, top, bound))
-            stride = gcd(stride, own)
-        else:
-            dense.append(None)
-    # every packed sum must also leave fewer empty slots than term pairs at
-    # the shared stride
-    stride = stride or 1
-    bound = 0
-    for i, plan in enumerate(dense):
-        if plan is not None:
-            if (plan[2] - plan[1]) // stride < plans[i][1]:
-                bound = max(bound, plan[3])
-            else:
-                dense[i] = None
-    width = _width(bound)
-    packed = {}  # id(operand) -> the operand packed from its least exponent
-    out = []
-    for (rows, _), plan in zip(plans, dense):
-        if plan is None:
-            out.append(_termwise_sum(rows))
-            continue
-        lows, least = plan[0], plan[1]
-        total = 0
-        for (k, _, used), low in zip(rows, lows):
-            for t in used:
-                v = packed.get(id(t))
-                if v is None:
-                    v = packed[id(t)] = pack_poly(t, width, -spans[id(t)][0], stride)
-                k = v if k == 1 else k * v
-            # a product by 1, a shift by 0 and an add to 0 would each copy
-            # the operand or the product
-            shift = width * ((low - least) // stride)
-            if shift:
-                k <<= shift
-            total = total + k if total else k
-        out.append(unpack_poly(total, width, least, stride))
-    return out
+
+class WidthTooNarrow(ArithmeticError):
+    """A ``PackedRing`` was asked to pack or unpack a value whose bound it
+    does not prove; ``width`` proves it."""
+
+    def __init__(self, width: int):
+        super().__init__(f"a packed value needs a width of {width} bits")
+        self.width = width
+
+
+class PackedRing:
+    """Laurent polynomials with every exponent a multiple of ``stride``, each
+    held as a ``Packed`` int at X = 2^``width`` (module docstring)."""
+
+    __slots__ = ("width", "stride", "zero")
+
+    def __init__(self, width: int, stride: int):
+        self.width = width
+        self.stride = stride
+        self.zero = Packed(0, 0, 0, 0, self)
+
+    def check(self, bound: int) -> None:
+        """Raise ``WidthTooNarrow`` unless coefficients of at most ``bound``
+        fit below 2^(width-2)."""
+        if bound >> (self.width - 2):
+            raise WidthTooNarrow(_width(bound))
+
+    def pack(self, poly: LaurentPoly) -> "Packed":
+        """poly, with its exact norms."""
+        t = poly.terms
+        if not t:
+            return self.zero
+        # from the lattice point at or below the least exponent: pack_poly
+        # raises for any exponent off the lattice
+        low = min(t)
+        low -= low % self.stride
+        vals = t.values()
+        sup = max(map(abs, vals))
+        self.check(sup)
+        return Packed(pack_poly(t, self.width, -low, self.stride), low, sum(map(abs, vals)), sup, self)
+
+    def unpack(self, x: "Packed") -> LaurentPoly:
+        """x as a LaurentPoly; its bound must fit (``check``)."""
+        if x.ring is not self:
+            raise AssertionError("a value of another packed ring")
+        self.check(x.sup)
+        return LaurentPoly._wrap(unpack_poly(x.value, self.width, x.low, self.stride))
+
+
+class Packed:
+    """A Laurent polynomial f = q^low g(q^stride) of a ``PackedRing``, held as
+    the int g(2^width), with bounds ``one`` >= |f|_1 and ``sup`` >= |f|_inf.
+    Sums align by shifts and products are int products, exact at any width;
+    the bounds follow the triangle inequality (module docstring)."""
+
+    __slots__ = ("value", "low", "one", "sup", "ring")
+
+    def __init__(self, value: int, low: int, one: int, sup: int, ring: PackedRing):
+        self.value = value
+        self.low = low
+        self.one = one
+        self.sup = sup
+        self.ring = ring
+
+    def __add__(self, other: "Packed") -> "Packed":
+        ring = self.ring
+        if other.ring is not ring:
+            raise AssertionError("a sum across packed rings")
+        if not other.one:
+            return self
+        if not self.one:
+            return other
+        a, b = (self, other) if self.low <= other.low else (other, self)
+        value = b.value
+        if b.low != a.low:
+            value <<= ring.width * ((b.low - a.low) // ring.stride)
+        return Packed(a.value + value, a.low, a.one + b.one, a.sup + b.sup, ring)
+
+    def __neg__(self) -> "Packed":
+        return Packed(-self.value, self.low, self.one, self.sup, self.ring)
+
+    def __sub__(self, other: "Packed") -> "Packed":
+        return self + -other
+
+    def __mul__(self, other) -> "Packed":
+        ring = self.ring
+        if isinstance(other, int):
+            k = abs(other)
+            if k == 1:
+                return self if other == 1 else -self
+            return Packed(self.value * other, self.low, self.one * k, self.sup * k, ring) if k else ring.zero
+        if other.ring is not ring:
+            raise AssertionError("a product across packed rings")
+        if not (self.one and other.one):
+            return ring.zero
+        return Packed(self.value * other.value, self.low + other.low, self.one * other.one,
+                      min(self.sup * other.one, self.one * other.sup), ring)
+
+    __rmul__ = __mul__
 
 
 def _times(poly: dict, factor: dict) -> dict:
@@ -661,15 +641,15 @@ class LaurentPoly(SparseSum):
     def __mul__(self, other):
         # the hot path of the whole package: an int or a one-term operand
         # scales term by term, a product of fewer than _SCHOOLBOOK_PAIRS term
-        # pairs runs the schoolbook loop, and the rest is the one-product
-        # case of the packed accumulator (module docstring)
+        # pairs runs the schoolbook loop, and the rest is one packed product
+        # (module docstring)
         if isinstance(other, LaurentPoly):
             a, b = self.terms, other.terms
             if len(a) == 1 or len(b) == 1:
                 ((e0, c0),), b = (a.items(), b) if len(a) == 1 else (b.items(), a)
                 out = {e0 + e: c0 * c for e, c in b.items()}
             elif len(a) * len(b) >= _SCHOOLBOOK_PAIRS:
-                out = _accumulate([([(1, 0, [a, b])], len(a) * len(b))])[0]
+                out = _packed_product(a, b)
             else:
                 out = _schoolbook(a, b)
         elif isinstance(other, int):
@@ -781,60 +761,6 @@ class LaurentPoly(SparseSum):
                 body = qp if mag == 1 else f"{mag}*{qp}"
             pieces.append((c < 0, body))
         return signed_join(pieces)
-
-
-class ProductSum:
-    """A sum of int-weighted products of LaurentPolys, [(k, (f_1, ..., f_m))],
-    left unevaluated.  Sums concatenate, products distribute, and an int or a
-    LaurentPoly operand joins as a product of no or one factor, so formulas
-    over LaurentPolys with these at their leaves evaluate together in one
-    ``sums_of_products`` (``evaluate_all``).  Immutable, like the rings."""
-
-    __slots__ = ("products",)
-
-    def __init__(self, products=None):
-        self.products = [] if products is None else products
-
-    @staticmethod
-    def _products(x):
-        if isinstance(x, ProductSum):
-            return x.products
-        if isinstance(x, LaurentPoly):
-            return [(1, (x,))]
-        if isinstance(x, int):
-            return [(x, ())]
-        return None
-
-    @classmethod
-    def of(cls, poly: LaurentPoly) -> "ProductSum":
-        return cls([(1, (poly,))])
-
-    def __add__(self, other):
-        other = self._products(other)
-        return NotImplemented if other is None else ProductSum(self.products + other)
-
-    def __neg__(self):
-        return ProductSum([(-k, f) for k, f in self.products])
-
-    def __sub__(self, other):
-        other = self._products(other)
-        if other is None:
-            return NotImplemented
-        return ProductSum(self.products + [(-k, f) for k, f in other])
-
-    def __mul__(self, other):
-        other = self._products(other)
-        if other is None:
-            return NotImplemented
-        return ProductSum([(k1 * k2, f1 + f2) for k1, f1 in self.products for k2, f2 in other])
-
-    __rmul__ = __mul__
-
-    @staticmethod
-    def evaluate_all(sums) -> list:
-        """The values of the given ProductSums, as LaurentPolys, evaluated
-        together (``sums_of_products``)."""
-        return [LaurentPoly._wrap(t) for t in sums_of_products([x.products for x in sums])]
 
 
 def parse_laurent(text: str) -> LaurentPoly:

@@ -92,7 +92,7 @@ def test_coeffs_json_schema(capsys):
             int(exp), int(coeff)  # decimal strings by schema
 
 
-@pytest.mark.parametrize(("route", "r"), [("recursion", 5), ("closed", 12)])
+@pytest.mark.parametrize(("route", "r"), [("recursion", 5), ("recursion", 12), ("closed", 12)])
 def test_coeffs_json_route_agreement_bytes(capsys, route, r):
     code, genfun, _ = run(capsys, "coeffs", "--r", str(r), "--route", "genfun",
                           "--format", "json")

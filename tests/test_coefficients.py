@@ -211,6 +211,21 @@ def test_recursion_seed_and_first_step():
     assert t2.entry(0, 2) == qbinomial(5, 2)
 
 
+def test_a_step_reruns_at_the_width_its_bounds_prove(monkeypatch):
+    # from a first width of 8 bits every step past r = 2 finds a bound it
+    # cannot prove, before it packs or unpacks that value, and reruns wider
+    expected = list(coeff_tables(9, "recursion"))
+    widths = []
+    ring = qonsager.coefficients.PackedRing
+    monkeypatch.setattr(qonsager.coefficients, "_first_width", lambda table: 8)
+    monkeypatch.setattr(qonsager.coefficients, "PackedRing",
+                        lambda width, stride: widths.append(width) or ring(width, stride))
+    for table, other in zip(coeff_tables(9, "recursion"), expected):
+        assert table.same_entries(other), table.r
+    assert widths.count(8) == 8 and len(widths) > 16
+    assert widths[-1] == 64
+
+
 def test_recursion_pzero_row_is_qbinomial():
     for table in recursion_coeffs(5):
         n = 2 * table.r + 1
@@ -258,12 +273,11 @@ PACKED_RUNS = {
 
 @pytest.mark.parametrize("run", sorted(PACKED_RUNS))
 def test_each_product_stays_packed_across_its_factor_steps(run, monkeypatch):
-    # one packed int per key for the whole run: no sums_of_products, and no
-    # packing per factor step; the factors are built before the run starts
-    started, packs, sums = [], [], []
+    # one packed int per key for the whole run: no packing per factor step;
+    # the factors are built before the run starts
+    started, packs = [], []
     running_product = qonsager.coefficients.running_product
     pack_poly = qonsager.exactring.pack_poly
-    sums_of_products = qonsager.exactring.sums_of_products
 
     def counted_run(start, factors):
         started.append(start)
@@ -276,11 +290,9 @@ def test_each_product_stays_packed_across_its_factor_steps(run, monkeypatch):
 
     monkeypatch.setattr(qonsager.coefficients, "running_product", counted_run)
     monkeypatch.setattr(qonsager.exactring, "pack_poly", counted_pack)
-    monkeypatch.setattr(qonsager.exactring, "sums_of_products",
-                        lambda x: sums.append(x) or sums_of_products(x))
     make, expected = PACKED_RUNS[run]
     make()
-    assert len(started) == 1 and not sums
+    assert len(started) == 1
     assert len(packs) == expected
 
 

@@ -20,12 +20,13 @@ from qonsager import (
 )
 from qonsager.exactring import (
     _SCHOOLBOOK_PAIRS,
-    ProductSum,
+    PackedRing,
+    WidthTooNarrow,
     _times,
+    _width,
     pack_poly,
     pair_add,
     running_product,
-    sums_of_products,
     unpack_poly,
 )
 from conftest import rand_laurent, rand_ring
@@ -324,63 +325,115 @@ def schoolbook_sum(products):
     return total
 
 
-def term_pairs(products):
-    count = 0
-    for _, factors in products:
-        size = 1
-        for f in factors:
-            size *= len(f.terms)
-        count += size
-    return count
+def packed_sum(products, width=8):
+    """The sum of k f_1 ... f_m over products [(k, (f_1, ..., f_m))] on one
+    PackedRing of stride 2, each distinct operand packed once, the ring
+    widened until it proves the total; returns (the total, the width)."""
+    while True:
+        ring = PackedRing(width, 2)
+        packed = {}
+        total = ring.zero
+        try:
+            for k, factors in products:
+                term = ring.pack(LaurentPoly.one())
+                for f in factors:
+                    v = packed.get(id(f))
+                    if v is None:
+                        v = packed[id(f)] = ring.pack(f)
+                    term = term * v
+                total = total + k * term
+            return ring.unpack(total), width
+        except WidthTooNarrow as exc:
+            assert exc.width > width
+            width = exc.width
 
 
 def test_sums_of_products_match_the_schoolbook_oracle():
+    # random sums of int-weighted products of up to three factors on a
+    # PackedRing, against the term-by-term oracle
     rng = random.Random(13)
-    seen = set()
+    widths = set()
     for _ in range(120):
-        stride = rng.choice((1, 2, 3))
         bits = rng.choice((1, 8, 30, 62, 70, 200))
-        pool = [rand_strided(rng, rng.randint(1, 25), stride, bits) for _ in range(5)]
-        pool += [LaurentPoly.q_power(rng.randint(-9, 9), rng.randint(-3, 3) or 1),
-                 LaurentPoly({1000 * stride * k: k + 1 for k in range(-3, 9)})]  # sparse
-        sums = [[(rng.choice((1, -1)) * rng.randint(1, 1 << rng.choice((1, 20, 70))),
-                  tuple(rng.choice(pool) for _ in range(rng.randint(1, 3))))
-                 for _ in range(rng.randint(1, 20))]
-                for _ in range(rng.randint(1, 4))]
-        for products, value in zip(sums, sums_of_products(sums)):
-            assert all(value.values())
-            assert LaurentPoly(value) == schoolbook_sum(products), products
-            seen.add(term_pairs(products) >= _SCHOOLBOOK_PAIRS)
-    assert seen == {True, False}
+        pool = [rand_strided(rng, rng.randint(1, 25), 2, bits) for _ in range(5)]
+        pool = [f * Q(f.valuation() % 2) for f in pool]  # even exponents only
+        pool += [LaurentPoly.q_power(2 * rng.randint(-9, 9), rng.randint(-3, 3) or 1),
+                 LaurentPoly({2000 * k: k + 1 for k in range(-3, 9)}),  # sparse
+                 LaurentPoly.zero()]
+        products = [(rng.choice((1, -1)) * rng.randint(1, 1 << rng.choice((1, 20, 70))),
+                     tuple(rng.choice(pool) for _ in range(rng.randint(0, 3))))
+                    for _ in range(rng.randint(1, 20))]
+        value, width = packed_sum(products, rng.choice((8, 16, 64, 72)))
+        assert all(value.terms.values())
+        assert value == schoolbook_sum(products), products
+        widths.add(width <= 64)  # a word width, or bytes per slot
+    assert widths == {True, False}
 
 
 def test_sums_of_products_that_cancel():
     rng = random.Random(14)
     for bits in (3, 62, 70, 5000):
         a, b, c = (rand_strided(rng, 20, 2, bits) for _ in range(3))
+        a, b, c = (f * Q(f.valuation() % 2) for f in (a, b, c))  # even exponents only
         abc = schoolbook(schoolbook(a, b), c)
-        assert sums_of_products([[(5, (a, b)), (-5, (b, a))],
-                                 [(1, (a, b, c)), (-1, (abc,))],
-                                 [(3, (a, b)), (-1, (a, b, LaurentPoly({0: 3})))],
-                                 [(1, (a, b)), (-1, (a, b, LaurentPoly.q_power(4))),
-                                  (1, (a, LaurentPoly.q_power(4), b))],
-                                 [(1, (a, LaurentPoly.zero(), b))], []]) == [
-            {}, {}, {}, schoolbook(a, b).terms, {}, {}]
+        for products, expected in (
+                ([(5, (a, b)), (-5, (b, a))], 0),
+                ([(1, (a, b, c)), (-1, (abc,))], 0),
+                ([(3, (a, b)), (-1, (a, b, LaurentPoly({0: 3})))], 0),
+                ([(1, (a, b)), (-1, (a, b, Q(4))), (1, (a, Q(4), b))], schoolbook(a, b)),
+                ([(1, (a, LaurentPoly.zero(), b))], 0),
+                ([], 0)):
+            assert packed_sum(products)[0] == expected
 
 
 def test_sums_of_products_just_past_each_word_width():
     # every product is run * run, run = 1 + q^2 + ... + q^22: its middle
     # coefficient is 12 = |run|_inf |run|_1, so the middle coefficient of a
     # sum of weights adding up to w is 12 w, the width bound itself; the bit
-    # lengths go to just below and just past 8, 16, 32 and 64 - 2 bits
+    # lengths go to just below and just past 8, 16, 32, 64 and 72 - 2 bits
     run = LaurentPoly({2 * k: 1 for k in range(12)})
-    for bits in (6, 7, 14, 15, 30, 31, 62, 63, 64, 100):
+    for bits in (6, 7, 14, 15, 30, 31, 62, 63, 64, 70, 71, 100):
         total = (1 << bits) // 12
         weights = [total - total // 3, total // 3]
         products = [(w, (run, run)) for w in weights]
-        (value,) = sums_of_products([products])
-        assert value[22] == 12 * total and (12 * total).bit_length() == bits
-        assert LaurentPoly(value) == schoolbook_sum(products)
+        value, width = packed_sum(products)
+        assert width == _width(12 * total)
+        assert value.terms[22] == 12 * total and (12 * total).bit_length() == bits
+        assert value == schoolbook_sum(products)
+        if width > 8:
+            # the next narrower width does not prove the total
+            ring = PackedRing(width - 8 if width > 64 else width // 2, 2)
+            x = ring.pack(run)
+            with pytest.raises(WidthTooNarrow):
+                ring.unpack(sum((w * (x * x) for w in weights), ring.zero))
+
+
+def test_packed_ring_values_off_its_lattice_raise():
+    # an exponent off the stride-2 lattice is never dropped or merged into
+    # a neighbouring slot
+    ring = PackedRing(16, 2)
+    for poly in (LaurentPoly({0: 1, 3: 2}), LaurentPoly({1: 1, 3: 2}), Q(-1)):
+        with pytest.raises(AssertionError, match="lattice"):
+            ring.pack(poly)
+    for width in (8, 64, 72, 39):
+        with pytest.raises(AssertionError, match="lattice"):
+            pack_poly({0: 1, 3: 2, 4: 5}, width, 0, 2)
+    with pytest.raises(AssertionError, match="another"):
+        PackedRing(16, 2).unpack(ring.pack(Q(2)))
+
+
+def test_packed_ring_proves_a_width_before_it_unpacks():
+    ring = PackedRing(16, 2)
+    run = LaurentPoly({2 * k: 100 for k in range(12)})  # 12 * 100^2 < 2^17
+    x = ring.pack(run)
+    assert (x.one, x.sup) == (1200, 100)
+    with pytest.raises(WidthTooNarrow) as exc:
+        ring.unpack(x * x)
+    assert exc.value.width == 32
+    ring = PackedRing(32, 2)
+    assert ring.unpack(ring.pack(run) * ring.pack(run)) == schoolbook(run, run)
+    with pytest.raises(WidthTooNarrow):
+        PackedRing(8, 2).pack(run)
 
 
 def test_a_square_packs_its_operand_once(monkeypatch):
@@ -456,17 +509,6 @@ def test_a_sparse_or_zero_run_goes_through_times(monkeypatch):
     assert steps[0]() == {}
 
 
-def test_product_sum_formulas_evaluate_together():
-    rng = random.Random(15)
-    a, b, c = (ProductSum.of(rand_strided(rng, 15, 2, 40)) for _ in range(3))
-    x, y, z = (p.products[0][1][0] for p in (a, b, c))
-    first, second, zero = ProductSum.evaluate_all(
-        [2 * a * (b - c) + 3 - c * a, -(a * b) + 0 * c, a * b - b * a])
-    assert first == 2 * schoolbook(x, y) - 2 * schoolbook(x, z) + 3 - schoolbook(z, x)
-    assert second == -schoolbook(x, y)
-    assert zero == 0
-
-
 @pytest.mark.parametrize("width", [8, 16, 32, 64, 3, 7, 39, 70, 200])
 def test_packing_round_trips_at_word_and_other_widths(width):
     rng = random.Random(width)
@@ -488,20 +530,27 @@ def test_packing_round_trips_at_word_and_other_widths(width):
 
 
 def test_codec_checks_survive_optimized_mode():
-    # the last two calls force a too-narrow accumulation: the operand's
-    # values() understates its coefficients, so the width bound comes out 12
-    # where the product's coefficients reach 120000; f * f reaches it through
-    # LaurentPoly.__mul__
-    script = ("from qonsager.exactring import (LaurentPoly, pack_poly, sums_of_products,\n"
-              "                                 unpack_poly)\n"
+    # the last three calls force a too-narrow width: an operand's values()
+    # understates its coefficients, so the product's bound comes out 12 where
+    # its coefficients reach 120000 (a packed step, and f * f through
+    # LaurentPoly.__mul__), and the bounds of a whole recursion step come
+    # out below its M and N values
+    script = ("from qonsager.exactring import LaurentPoly, PackedRing, pack_poly, unpack_poly\n"
+              "from qonsager.coefficients import CoeffTable, advance_table, coeff_table\n"
               "class Understated(dict):\n"
               "    def values(self):\n"
               "        return [1] * len(self)\n"
               "f = LaurentPoly._wrap(Understated({2 * e: 100 for e in range(12)}))\n"
+              "ring = PackedRing(8, 2)\n"
+              "x = ring.pack(f)\n"
+              "table = coeff_table(8, 'recursion')\n"
+              "table.entries = {k: LaurentPoly._wrap(Understated(v.terms)) for k, v in table.entries.items()}\n"
               "for call in (lambda: unpack_poly(64, 8), lambda: unpack_poly(1 << 37, 39),\n"
               "             lambda: pack_poly({0: 1 << 70}, 64),\n"
+              "             lambda: pack_poly({0: 1 << 75}, 72),\n"
               "             lambda: pack_poly({0: 1 << 70}, 39),\n"
-              "             lambda: sums_of_products([[(1, (f, f))]]), lambda: f * f):\n"
+              "             lambda: ring.unpack(x * x), lambda: f * f,\n"
+              "             lambda: advance_table(table)):\n"
               "    try:\n"
               "        call()\n"
               "    except AssertionError:\n"
