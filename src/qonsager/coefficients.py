@@ -90,9 +90,6 @@ class CoeffTable:
             raise AssertionError(f"normalization c_0^[{self.r},0] != 1 via {self.route}")
         return self
 
-    def same_entries(self, other: "CoeffTable") -> bool:
-        return self.first_mismatch(other) is None
-
     def first_mismatch(self, other: "CoeffTable"):
         """First differing (p, j) in table order, or None."""
         if self.r != other.r:
@@ -257,6 +254,8 @@ class RecursionTables:
     last one or two j of a row, the row p = r + 1 of N) are the general
     formula with the missing entries dropped, and the row p = 1 of N is the
     general formula at c_0^{[r,0]} = 1 (its j = 0 entry vanishes).
+    ``_advance`` reads them zero outside in the same way, as it reads eta
+    off its grid, so its column families need no boundary cases either.
 
     The level-r entries (``c``) and the arrays are ``Packed`` values of one
     ``PackedRing`` of stride 2, at ``ring`` or else at the table's first
@@ -303,11 +302,6 @@ def seed_table() -> CoeffTable:
     return CoeffTable(r=1, route="recursion", entries=entries).check()
 
 
-def _eta2(m: int, k: int) -> LaurentPoly:
-    """eta^{(m)}_{k,2}, the only eta column the coefficient recursion uses."""
-    return ETA.value(m, k, 2)
-
-
 def _first_width(table: CoeffTable) -> int:
     """The width a step from ``table`` tries first, from 2^9 times its largest
     entry 1-norm: through r = 20 every bound of a step stays below that."""
@@ -341,12 +335,14 @@ def advance_table(table: CoeffTable) -> CoeffTable:
 def _advance(table: CoeffTable, ring: PackedRing) -> dict:
     """The entries of the level-(r+1) table (``advance_table``) on ``ring``.
 
-    M and N are read as zero outside their tables (``RecursionTables``), so
-    each column family is one formula over one index range: the last row
-    p = r + 1 of the j = 0 and j = 1 columns and the row p = 1 of the j >= 5
-    families are their last pass.  Only the j = 2, 3 and 4 columns are
-    written out on their own: the j >= 5 families would read
-    eta^{(m)}_{k,2} off its grid (m < 3 or k < 0) there.
+    Every row p >= 1 comes from two column families, the odd columns
+    j = 2k + 3 and the even columns j = 2k + 2 of row p = jj - k, each one
+    formula over jj = 0..r and k = -1..jj-1.  The level-r entries, M and N
+    read as zero outside their tables (``RecursionTables``) and
+    eta^{(m)}_{k,2} as zero off its grid (``EtaTable.get``), so the
+    columns j = 0..5 are the k = -1, 0 and 1 passes and the row p = r + 1
+    is the k = -1 pass.  The even family's entry (1, 0) re-derives the
+    order-rho0 condition and is checked against it.
     """
     r = table.r
     mn = RecursionTables(table, ring)
@@ -385,7 +381,7 @@ def _advance(table: CoeffTable, ring: PackedRing) -> dict:
     def eta2(m, k):
         value = etas.get((m, k))
         if value is None:
-            value = etas[(m, k)] = ring.pack(_eta2(m, k))
+            value = etas[(m, k)] = ring.pack(ETA.get(m, k, 2))
         return value
 
     puts = []
@@ -393,80 +389,29 @@ def _advance(table: CoeffTable, ring: PackedRing) -> dict:
     def put(p, j, value):
         puts.append(((p, j), value))
 
-    # j = 0 column
-    for p in range(2, r + 2):
-        put(p, 0, n(p, 0) + c01 * c(p - 1, 0))
-
-    # j = 1 column
-    for p in range(1, r + 2):
-        val = c1_new * m(p, 0)
-        for i in range(p):
-            val = val + _sgn(i + p + 1) * n(i, 2 * (p - i) + 1)
-        for i in range(p - 1):
-            val = val + _sgn(i + p) * c01 * c(i, 2 * (p - i) - 1)
-        put(p, 1, val)
-
-    # j = 2 column
-    for p in range(1, r + 1):
-        val = c2_new * c(p, 0)
-        for i in range(p):
-            val = val + _sgn(i + p) * n(i, 2 * (p - i) + 2) * eta2(2 * (p - i) + 2, 0)
-            val = val + _sgn(i + p + 1) * c1_new * m(i, 2 * (p - i) + 1)
-        for i in range(p - 1):
-            val = val + _sgn(i + p + 1) * c01 * c(i, 2 * (p - i)) * eta2(2 * (p - i), 0)
-        put(p, 2, val)
-
-    # j = 3 column
-    for p in range(1, r + 1):
-        val = zero
-        for i in range(p + 1):
-            val = val + _sgn(i + p) * n(i, 2 * (p - i) + 3) * eta2(2 * (p - i) + 3, 1)
-        for i in range(p):
-            val = val + _sgn(i + p) * c1_new * m(i, 2 * (p - i) + 2) * eta2(2 * (p - i) + 2, 0)
-            val = val + _sgn(i + p + 1) * c2_new * c(i, 2 * (p - i) + 1)
-            val = val + _sgn(i + p + 1) * c01 * c(i, 2 * (p - i) + 1) * eta2(2 * (p - i) + 1, 1)
-        put(p, 3, val)
-
-    # j = 4 column
-    for p in range(1, r):
-        val = zero
-        for i in range(p + 1):
-            val = val + _sgn(i + p) * n(i, 2 * (p - i) + 4) * eta2(2 * (p - i) + 4, 1)
-            val = val + _sgn(i + p) * c1_new * m(i, 2 * (p - i) + 3) * eta2(2 * (p - i) + 3, 1)
-        for i in range(p):
-            val = val + _sgn(i + p) * c2_new * c(i, 2 * (p - i) + 2) * eta2(2 * (p - i) + 2, 0)
-            val = val + _sgn(i + p + 1) * c01 * c(i, 2 * (p - i) + 2) * eta2(2 * (p - i) + 2, 1)
-        put(p, 4, val)
-
-    # odd j >= 5  (the first group runs over odd-index N entries; the
-    # printed general form shifts them to even indices, which the oracle
-    # refutes)
-    for jj in range(2, r + 1):
-        for k in range(1, jj):
-            p = jj - k
-            val = zero
+    # the odd columns j = 2k + 3 and the even columns j = 2k + 2 of row
+    # p = jj - k; eta^{(m)}_{k,2} is first in each product, so a zero eta
+    # skips the big product.  The c01 terms share their level-r entry with
+    # the c2_new terms, and they run to i = jj - k too, where their eta is
+    # off the grid.  (The odd family's N terms run over odd-index N
+    # entries; the printed general form shifts them to even indices, which
+    # the oracle refutes.)
+    for jj in range(r + 1):
+        for k in range(-1, jj):
+            odd = even = zero
             for i in range(jj - k + 1):
                 sgn = _sgn(i + jj + k)
-                val = val + sgn * n(i, 2 * (jj - i) + 3) * eta2(2 * (jj - i) + 3, k + 1)
-                val = val + sgn * c1_new * m(i, 2 * (jj - i) + 2) * eta2(2 * (jj - i) + 2, k)
-                val = val + sgn * c2_new * c(i, 2 * (jj - i) + 1) * eta2(2 * (jj - i) + 1, k)
-            for i in range(jj - k):
-                val = val + _sgn(i + jj + k + 1) * c01 * c(i, 2 * (jj - i) + 1) * eta2(2 * (jj - i) + 1, k + 1)
-            put(p, 2 * k + 3, val)
-
-    # even j >= 6
-    for jj in range(3, r + 1):
-        for k in range(2, jj):
-            p = jj - k
-            val = zero
-            for i in range(jj - k + 1):
-                sgn = _sgn(i + jj + k)
-                val = val + sgn * n(i, 2 * (jj - i) + 2) * eta2(2 * (jj - i) + 2, k)
-                val = val + sgn * c1_new * m(i, 2 * (jj - i) + 1) * eta2(2 * (jj - i) + 1, k)
-                val = val + sgn * c2_new * c(i, 2 * (jj - i)) * eta2(2 * (jj - i), k - 1)
-            for i in range(jj - k):
-                val = val + _sgn(i + jj + k + 1) * c01 * c(i, 2 * (jj - i)) * eta2(2 * (jj - i), k)
-            put(p, 2 * k + 2, val)
+                h = 2 * (jj - i)
+                odd = odd + sgn * (
+                    eta2(h + 3, k + 1) * n(i, h + 3)
+                    + eta2(h + 2, k) * c1_new * m(i, h + 2)
+                    + (eta2(h + 1, k) * c2_new - eta2(h + 1, k + 1) * c01) * c(i, h + 1))
+                even = even + sgn * (
+                    eta2(h + 2, k) * n(i, h + 2)
+                    + eta2(h + 1, k) * c1_new * m(i, h + 1)
+                    + (eta2(h, k - 1) * c2_new - eta2(h, k) * c01) * c(i, h))
+            put(jj - k, 2 * k + 3, odd)
+            put(jj - k, 2 * k + 2, even)
 
     # every bound is known before any entry is unpacked
     ring.check(max(value.sup for _, value in puts))

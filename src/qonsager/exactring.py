@@ -117,11 +117,13 @@ def pair_add(a: tuple, b: tuple) -> tuple:
 
 # A product with fewer term pairs than this goes term by term:
 # packing costs a few conversions per operand term and per slot, which pays
-# from about 64 pairs on.  On the coeffs benchmark 91% of the term products
-# sit in products of at least 64 pairs; in reduction about half the products
-# have a one-term operand, and packing every product made the reduce
-# benchmark's timed body a third slower (0.0147 -> 0.0195 s, 2-vCPU AMD EPYC
-# host).
+# from about 64 pairs on.  One timed body of each benchmark workload (seed 1,
+# 2-vCPU AMD EPYC host) makes few products that large: coeffs 34, which take
+# 0.68 ms packed against 0.51 ms schoolbook (its recursion steps run on
+# ``PackedRing`` instead); reduce 259, 7.1 against 8.4 ms; verify and matrix
+# none.  In reduction about half the products have a one-term operand, and
+# packing every product made the reduce benchmark's timed body a third
+# slower (0.0147 -> 0.0195 s).
 _SCHOOLBOOK_PAIRS = 64
 
 # Slot widths, in bits, that move through ``array`` as machine words:

@@ -469,62 +469,67 @@ def normal_form_with_stats(x: NcPoly):
 
 
 class EtaTable:
-    """The auxiliary coefficients eta^{(m)}_{k,i} of the A^n A* expansions.
+    """The coefficients eta^{(m)}_{k,i} of the expansions of A^m A*:
 
-    Grid: for even m = 2n+2, k = 0..n; for odd m = 2n+3, k = 1..n+1; always
-    i = 0..2.  Entries are rho-free Laurent polynomials.  Lookups outside the
-    grid raise (a miss signals a transcription bug, not a zero).
+        NF(A^m A*) = sum_{k,i} rho0^((m-1)//2 - k) eta^{(m)}_{k,i} A^(2-i) A* A^(2k+i-m%2).
+
+    The grid (``grid``) is every word of that form with a trailing A-power
+    >= 0 and a rho0 power >= 0: i = 0..2, k = m%2 - 1 .. (m-1)//2.  Entries
+    are rho-free Laurent polynomials.  The table starts at NF(A*) = A*
+    (eta^{(0)}_{-1,2} = 1) and extends one m at a time by
+    NF(A^m A*) = NF(A · NF(A^(m-1) A*)): the extra A leaves the words with
+    i >= 1 normal and sends A^3 A* A^t through the rule.  With d = m % 2
+    and s = k - d, reading eta^{(m-1)} as zero off its grid (``get``):
+
+        eta^{(m)}_{k,0} =  [3] eta^{(m-1)}_{s,0} + eta^{(m-1)}_{s,1}
+        eta^{(m)}_{k,1} = -[3] eta^{(m-1)}_{s,0} + eta^{(m-1)}_{s+1,0} + eta^{(m-1)}_{s,2}
+        eta^{(m)}_{k,2} =      eta^{(m-1)}_{s,0} - eta^{(m-1)}_{s+1,0}
+
+    So m = 0, 1, 2 hold A*, A A* and A^2 A*, and the k = 0 row of an odd
+    m >= 3 holds its top terms rho0^((m-1)/2) (A A* - A* A).  ``value``
+    raises off the grid (a miss signals a transcription bug, not a zero).
     """
 
     def __init__(self):
-        three = qint(3)
-        self._values = {
-            (3, 1, 0): three,
-            (3, 1, 1): -three,
-            (3, 1, 2): LaurentPoly.one(),
-        }
-        self._max_m = 3
+        self._values = {(0, -1, 2): LaurentPoly.one()}
+        self._max_m = 0
+
+    @staticmethod
+    def grid(m: int) -> list:
+        """The (k, i) of eta^{(m)}, in the order of k, then i."""
+        d = m % 2
+        return [(k, i) for k in range(d - 1, (m + 1) // 2) for i in range(3) if 2 * k + i >= d]
 
     def _extend_to(self, m: int):
-        one = LaurentPoly.one()
         three = qint(3)
         while self._max_m < m:
             src = self._max_m
             tgt = src + 1
-            v = self._values
-            if tgt % 2 == 0:  # even target 2n+2 from odd source 2n+1
-                n = (tgt - 2) // 2
-                v[(tgt, 0, 0)] = one
-                v[(tgt, 0, 1)] = v[(src, 1, 0)] - 1
-                v[(tgt, 0, 2)] = -v[(src, 1, 0)]
-                for k in range(1, n + 1):
-                    v[(tgt, k, 0)] = three * v[(src, k, 0)] + v[(src, k, 1)]
-                for k in range(1, n):
-                    v[(tgt, k, 1)] = -three * v[(src, k, 0)] + v[(src, k + 1, 0)] + v[(src, k, 2)]
-                    v[(tgt, k, 2)] = v[(src, k, 0)] - v[(src, k + 1, 0)]
-                if n >= 1:
-                    v[(tgt, n, 1)] = -three * v[(src, n, 0)] + v[(src, n, 2)]
-                    v[(tgt, n, 2)] = v[(src, n, 0)]
-            else:  # odd target 2n+3 from even source 2n+2
-                n = (tgt - 3) // 2
-                for k in range(1, n + 2):
-                    v[(tgt, k, 0)] = three * v[(src, k - 1, 0)] + v[(src, k - 1, 1)]
-                for k in range(1, n + 1):
-                    v[(tgt, k, 1)] = -three * v[(src, k - 1, 0)] + v[(src, k, 0)] + v[(src, k - 1, 2)]
-                    v[(tgt, k, 2)] = v[(src, k - 1, 0)] - v[(src, k, 0)]
-                v[(tgt, n + 1, 1)] = -three * v[(src, n, 0)] + v[(src, n, 2)]
-                v[(tgt, n + 1, 2)] = v[(src, n, 0)]
+            for k, i in self.grid(tgt):
+                s = k - tgt % 2
+                a = self.get(src, s, 0)
+                if i == 0:
+                    value = three * a + self.get(src, s, 1)
+                elif i == 1:
+                    value = -three * a + self.get(src, s + 1, 0) + self.get(src, s, 2)
+                else:
+                    value = a - self.get(src, s + 1, 0)
+                self._values[(tgt, k, i)] = value
             self._max_m = tgt
 
     def value(self, m: int, k: int, i: int) -> LaurentPoly:
-        if m < 3:
-            raise KeyError(f"eta table starts at m=3, got m={m}")
         if m > self._max_m:
             self._extend_to(m)
         try:
             return self._values[(m, k, i)]
         except KeyError:
             raise KeyError(f"eta^({m})_({k},{i}) is outside the defined grid") from None
+
+    def get(self, m: int, k: int, i: int) -> LaurentPoly:
+        """eta^{(m)}_{k,i}, zero off the grid (finite-support convention)."""
+        if m > self._max_m:
+            self._extend_to(m)
+        return self._values.get((m, k, i), LaurentPoly.zero())
 
 
 ETA = EtaTable()
@@ -536,24 +541,10 @@ def power_astar_expansion(n: int) -> NcPoly:
     Equals normal_form(A^n A*) exactly; the rewrite engine is the oracle for
     that in the tests, while this construction never touches the rule.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if n < 3:
-        return NcPoly.from_word(GEN_A * n + GEN_ASTAR)
+    if n < 0:
+        raise ValueError("need n >= 0")
     terms: dict = {}
-    if n % 2 == 0:  # n = 2m+2
-        m = (n - 2) // 2
-        for k in range(m + 1):
-            for i in range(3):
-                coeff = RingElement.rho0(m - k) * ETA.value(n, k, i)
-                _add(terms, GEN_A * (2 - i) + GEN_ASTAR + GEN_A * (2 * k + i), coeff)
-    else:  # n = 2m+3
-        m = (n - 3) // 2
-        for k in range(1, m + 2):
-            for i in range(3):
-                coeff = RingElement.rho0(m + 1 - k) * ETA.value(n, k, i)
-                _add(terms, GEN_A * (2 - i) + GEN_ASTAR + GEN_A * (2 * k - 1 + i), coeff)
-        top = RingElement.rho0(m + 1)
-        _add(terms, GEN_A + GEN_ASTAR, top)
-        _add(terms, GEN_ASTAR + GEN_A, -top)
+    for k, i in ETA.grid(n):
+        coeff = RingElement.rho0((n - 1) // 2 - k) * ETA.value(n, k, i)
+        _add(terms, GEN_A * (2 - i) + GEN_ASTAR + GEN_A * (2 * k + i - n % 2), coeff)
     return NcPoly(terms)

@@ -85,17 +85,16 @@ class VerificationReport:
                        residual=None if self.residual is None else self.residual.dagger())
 
 
-def verify_relation(r: int, route: str = "genfun", family: int = 1,
+def verify_relation(r: int, route: str = "genfun",
                     table: CoeffTable | None = None) -> VerificationReport:
     """Reduce the family-1 relation for this r to normal form.
 
-    ``table`` overrides the route (used by negative controls); family 2 is
-    reported via the automorphism certificate of the same reduction.
+    ``table`` overrides the route (used by negative controls); the report's
+    ``family_two`` is the family-2 report, certified by the automorphism
+    from the same reduction.
     """
     if r < 1:
         raise ValueError("need r >= 1")
-    if family not in (1, 2):
-        raise ValueError("family is 1 or 2")
     if table is None:
         table = coeff_table(r, route)
     else:
@@ -114,7 +113,7 @@ def verify_relation(r: int, route: str = "genfun", family: int = 1,
         route=route,
         residual=None if residual.is_zero() else residual,
     )
-    return report if family == 1 else report.family_two()
+    return report
 
 
 @dataclass

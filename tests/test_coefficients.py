@@ -156,7 +156,7 @@ def test_closedform_literal_diverges_exactly_at_r3_j3():
     # the literal weight overcounts by one beta-sum
     assert diff == B(1) + B(2) + B(3)
     for r in (1, 2):
-        assert closedform_table(r, literal=True).same_entries(reduced_genfun_coeffs(r))
+        assert closedform_table(r, literal=True).first_mismatch(reduced_genfun_coeffs(r)) is None
     literal3 = closedform_table(3, literal=True)
     assert literal3.first_mismatch(reduced_genfun_coeffs(3))[0:2] == (0, 3)
 
@@ -221,7 +221,7 @@ def test_a_step_reruns_at_the_width_its_bounds_prove(monkeypatch):
     monkeypatch.setattr(qonsager.coefficients, "PackedRing",
                         lambda width, stride: widths.append(width) or ring(width, stride))
     for table, other in zip(coeff_tables(9, "recursion"), expected):
-        assert table.same_entries(other), table.r
+        assert table.first_mismatch(other) is None, table.r
     assert widths.count(8) == 8 and len(widths) > 16
     assert widths[-1] == 64
 
@@ -237,8 +237,8 @@ def test_route_agreement_to_r5():
     recursion = recursion_coeffs(5)
     for r in range(1, 6):
         g = reduced_genfun_coeffs(r)
-        assert recursion[r - 1].same_entries(g), r
-        assert closedform_table(r).same_entries(g), r
+        assert recursion[r - 1].first_mismatch(g) is None, r
+        assert closedform_table(r).first_mismatch(g) is None, r
 
 
 @pytest.mark.parametrize("route", ROUTES)
@@ -247,7 +247,7 @@ def test_coeff_tables_yield_the_tables_of_each_r_in_order(route):
     assert [t.r for t in tables] == [1, 2, 3, 4, 5, 6]
     for table in tables:
         assert table.route == route
-        assert table.same_entries(coeff_table(table.r, route)), table.r
+        assert table.first_mismatch(coeff_table(table.r, route)) is None, table.r
     assert list(coeff_tables(0, route)) == []
 
 

@@ -348,7 +348,7 @@ def packed_sum(products, width=8):
             width = exc.width
 
 
-def test_sums_of_products_match_the_schoolbook_oracle():
+def test_packed_ring_sums_match_the_schoolbook_oracle():
     # random sums of int-weighted products of up to three factors on a
     # PackedRing, against the term-by-term oracle
     rng = random.Random(13)
@@ -370,7 +370,7 @@ def test_sums_of_products_match_the_schoolbook_oracle():
     assert widths == {True, False}
 
 
-def test_sums_of_products_that_cancel():
+def test_packed_ring_sums_that_cancel():
     rng = random.Random(14)
     for bits in (3, 62, 70, 5000):
         a, b, c = (rand_strided(rng, 20, 2, bits) for _ in range(3))
@@ -386,7 +386,7 @@ def test_sums_of_products_that_cancel():
             assert packed_sum(products)[0] == expected
 
 
-def test_sums_of_products_just_past_each_word_width():
+def test_packed_ring_sums_just_past_each_word_width():
     # every product is run * run, run = 1 + q^2 + ... + q^22: its middle
     # coefficient is 12 = |run|_inf |run|_1, so the middle coefficient of a
     # sum of weights adding up to w is 12 w, the width bound itself; the bit

@@ -184,13 +184,16 @@ def test_trace_replay_reproduces_the_fixed_point():
 
 
 def test_power_expansion_base_cases():
+    assert power_astar_expansion(0) == ASTAR
     assert power_astar_expansion(1) == A * ASTAR
     assert power_astar_expansion(2) == A ** 2 * ASTAR
     assert power_astar_expansion(3) == mon1_rhs()
+    with pytest.raises(ValueError):
+        power_astar_expansion(-1)
 
 
 def test_power_expansion_equals_rewrite_route():
-    for n in range(4, 42):
+    for n in range(1, 42):
         assert power_astar_expansion(n) == normal_form(A ** n * ASTAR), n
 
 
@@ -207,12 +210,29 @@ def test_eta_base_cases_from_the_tables():
 
 
 def test_eta_outside_grid_raises():
-    with pytest.raises(KeyError):
-        ETA.value(4, 2, 0)
-    with pytest.raises(KeyError):
-        ETA.value(3, 0, 0)
-    with pytest.raises(KeyError):
-        ETA.value(2, 0, 0)
+    off_grid = ((4, 2, 0), (3, 0, 0), (2, 1, 0), (1, 0, 0), (0, 0, 2), (0, -1, 1), (-1, -1, 2))
+    for m, k, i in off_grid:
+        with pytest.raises(KeyError):
+            ETA.value(m, k, i)
+        assert ETA.get(m, k, i).is_zero()
+
+
+def test_eta_grid_holds_exactly_the_words_of_the_normal_form():
+    # each word A^(2-i) A* A^t of NF(A^m A*), with coefficient rho0^e times a
+    # Laurent polynomial, is eta^{(m)}_{k,i} at t = 2k + i - m % 2 and
+    # e = (m - 1) // 2 - k; every other grid entry is zero
+    assert ETA.grid(0) == [(-1, 2)] and ETA.value(0, -1, 2) == LaurentPoly.one()
+    for m in range(31):
+        seen = set()
+        for w, c in normal_form(A ** m * ASTAR).terms.items():
+            i = 2 - w.index("s")
+            k, odd = divmod(len(w) - w.index("s") - 1 - i + m % 2, 2)
+            ((e, e1), coeff), = c.terms.items()
+            assert not odd and e1 == 0 and e == (m - 1) // 2 - k, (m, w)
+            assert ETA.value(m, k, i) == coeff, (m, w)
+            seen.add((k, i))
+        assert seen <= set(ETA.grid(m)), m
+        assert all(ETA.value(m, k, i).is_zero() for k, i in set(ETA.grid(m)) - seen), m
 
 
 def test_relation_reduction_stats_are_pinned():
