@@ -8,8 +8,10 @@ input expression).
 The negative control is a route, not a flag: ``verify --route
 closed-literal`` exits 1 from r = 3 on.
 
-Exit codes: 0 success, 1 relation failure, 2 usage, 3 internal integrity
-(e.g. a non-exact division in the recursion route), 4 matrix gate failure.
+Exit codes: 0 success, 1 relation failure, 2 usage (also an ``--out`` that
+cannot be opened; it is opened before any work), 3 internal integrity (e.g. a
+non-exact division in the recursion route), 4 matrix gate failure, 141 when
+the reader of stdout leaves early.
 
 Data outputs are byte-deterministic for fixed inputs; verification reports
 carry wall-clock timings by design.
@@ -18,7 +20,9 @@ carry wall-clock timings by design.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -37,9 +41,11 @@ EXIT_INTEGRITY = 3
 EXIT_GATE = 4
 
 # The largest r that coeffs --r, verify --r-max and matrix-check --r accept.
-# The q-Pascal rows then stop at n = 2r + 3 = 43.  On a 2-vCPU AMD EPYC host
-# coeffs --r 30 --format latex takes 19 s and 375 MiB; --r 40 took 202 s and
-# 1.28 GiB with the term-by-term Laurent product (--r 30: 37 s).
+# The q-Pascal rows then stop at n = 2r + 3 = 43.  Past the cap, on a 2-vCPU
+# Intel Xeon host, the r = 30 genfun table takes 24 s and 187 MiB, and its
+# LaTeX export, written entry by entry, peaks at 222 MiB (332 MiB built as one
+# string).  An older build took 202 s and 1.28 GiB for r = 40 with the
+# term-by-term Laurent product.
 MAX_R = 20
 # The largest matrix-check --sites.  Each site doubles the dimension and costs about
 # 6x the time: in process on the same host --sites 4 / 5 / 6 --r 1 take 0.02 / 0.09 /
@@ -58,8 +64,8 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from exc
 
 
-def _int_at_most(cap: int, name: str):
-    """An argparse type: an int of at most ``cap``."""
+def _int_in(low: int, cap: int, name: str):
+    """An argparse type: an int from ``low`` to ``cap``."""
     def value(text: str) -> int:
         try:
             n = int(text)
@@ -67,23 +73,30 @@ def _int_at_most(cap: int, name: str):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if n > cap:
             raise argparse.ArgumentTypeError(f"{name} above {cap} is not supported")
+        if n < low:
+            raise argparse.ArgumentTypeError(f"{name} below {low} is not supported")
         return n
     return value
 
 
-_r_value = _int_at_most(MAX_R, "r")
+_r_value = _int_in(1, MAX_R, "r")
 
 
 def _fraction_list(text: str):
     return tuple(_fraction(part) for part in text.split(","))
 
 
-def _write_output(text: str, out_path):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _open_output(path):
+    """The stream a subcommand writes to: the file ``--out`` names, or stdout."""
+    if path is None:
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8")
+
+
+def _write_line(out, line: str) -> None:
+    """One report line, flushed, so a long run shows each r as it finishes."""
+    out.write(line + "\n")
+    out.flush()
 
 
 # ---------------------------------------------------------------------------
@@ -91,20 +104,22 @@ def _write_output(text: str, out_path):
 # ---------------------------------------------------------------------------
 
 
-def table_to_json(table: CoeffTable) -> str:
-    entries = []
-    for (p, j), value in table.items_sorted():
+def _json_chunks(table: CoeffTable):
+    """The JSON document of ``table`` one entry at a time: the bytes of
+    ``json.dumps({"r": .., "route": .., "entries": [..]}, sort_keys=True)``,
+    whose sorted top-level keys put the entries first."""
+    yield '{"entries":['
+    for n, ((p, j), value) in enumerate(table.items_sorted()):
         laurent = {str(e): str(value.terms[e]) for e in sorted(value.terms, reverse=True)}
-        entries.append({"p": p, "j": j, "laurent": laurent})
-    doc = {"r": table.r, "route": table.route, "entries": entries}
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        entry = {"p": p, "j": j, "laurent": laurent}
+        yield ("," if n else "") + json.dumps(entry, sort_keys=True, separators=(",", ":"))
+    yield f'],"r":{table.r},"route":{json.dumps(table.route)}}}\n'
 
 
-def table_to_csv(table: CoeffTable) -> str:
-    lines = ["r,p,j,laurent"]
+def _csv_chunks(table: CoeffTable):
+    yield "r,p,j,laurent\n"
     for (p, j), value in table.items_sorted():
-        lines.append(f"{table.r},{p},{j},{value.to_string()}")
-    return "\n".join(lines) + "\n"
+        yield f"{table.r},{p},{j},{value.to_string()}\n"
 
 
 def _laurent_to_latex(value: LaurentPoly) -> str:
@@ -138,19 +153,17 @@ def _qbinom_index(r: int) -> dict:
     return index
 
 
-def table_to_latex(table: CoeffTable) -> str:
+def _latex_chunks(table: CoeffTable):
     """Rows p, j with the coefficient; entries equal to a Gaussian binomial
     print as \\qbinom{n}{k}, everything else as a raw Laurent polynomial."""
     index = _qbinom_index(table.r)
     one = LaurentPoly.one()
-    lines = [
-        f"% coefficient table r={table.r}, route={table.route}",
-        "% \\newcommand{\\qbinom}[2]{\\left[\\begin{smallmatrix}#1\\\\#2\\end{smallmatrix}\\right]_q}",
-        "\\begin{tabular}{rrl}",
-        "\\hline",
-        f"$p$ & $j$ & $c_j^{{[{table.r},p]}}$ \\\\",
-        "\\hline",
-    ]
+    yield (f"% coefficient table r={table.r}, route={table.route}\n"
+           "% \\newcommand{\\qbinom}[2]{\\left[\\begin{smallmatrix}#1\\\\#2\\end{smallmatrix}\\right]_q}\n"
+           "\\begin{tabular}{rrl}\n"
+           "\\hline\n"
+           f"$p$ & $j$ & $c_j^{{[{table.r},p]}}$ \\\\\n"
+           "\\hline\n")
     for (p, j), value in table.items_sorted():
         if value.is_zero():
             cell = "0"
@@ -160,17 +173,32 @@ def table_to_latex(table: CoeffTable) -> str:
             # the first equal q-binomial, else the raw polynomial
             cell = next((f"\\qbinom{{{n}}}{{{k}}}" for binom, (n, k) in index.get(_shape(value), ())
                          if binom == value), None) or _laurent_to_latex(value)
-        lines.append(f"{p} & {j} & ${cell}$ \\\\")
-    lines.extend(["\\hline", "\\end{tabular}"])
-    return "\n".join(lines) + "\n"
+        yield f"{p} & {j} & ${cell}$ \\\\\n"
+    yield "\\hline\n\\end{tabular}\n"
+
+
+# Each export is written one entry at a time (``coeffs``); table_to_* join the
+# same chunks for library callers.
+_CHUNKS = {"json": _json_chunks, "csv": _csv_chunks, "latex": _latex_chunks}
+
+
+def table_to_json(table: CoeffTable) -> str:
+    return "".join(_json_chunks(table))
+
+
+def table_to_csv(table: CoeffTable) -> str:
+    return "".join(_csv_chunks(table))
+
+
+def table_to_latex(table: CoeffTable) -> str:
+    return "".join(_latex_chunks(table))
 
 
 _FORMATTERS = {"json": table_to_json, "csv": table_to_csv, "latex": table_to_latex}
 
 
-def cmd_coeffs(args) -> int:
-    table = coeff_table(args.r, args.route)
-    _write_output(_FORMATTERS[args.format](table), args.out)
+def cmd_coeffs(args, out) -> int:
+    out.writelines(_CHUNKS[args.format](coeff_table(args.r, args.route)))
     return EXIT_OK
 
 
@@ -179,9 +207,8 @@ def cmd_coeffs(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, out) -> int:
     families = (1, 2) if args.family == "both" else (int(args.family),)
-    lines = []
     all_zero = True
     for table in coeff_tables(args.r_max, args.route):
         first = verify_relation(table.r, table=table)
@@ -191,8 +218,7 @@ def cmd_verify(args) -> int:
             if not report.ok():
                 all_zero = False
                 doc["residual"] = report.residual.to_string()
-            lines.append(json.dumps(doc, sort_keys=True))
-    _write_output("\n".join(lines) + "\n", args.out)
+            _write_line(out, json.dumps(doc, sort_keys=True))
     return EXIT_OK if all_zero else EXIT_RELATION
 
 
@@ -201,7 +227,7 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_matrix_check(args) -> int:
+def cmd_matrix_check(args, out) -> int:
     v = args.v if args.v is not None else tuple(Fraction(i) for i in range(1, args.sites + 1))
     if len(v) != args.sites:
         raise UsageError(f"--v needs exactly {args.sites} spectral parameters")
@@ -211,14 +237,13 @@ def cmd_matrix_check(args) -> int:
     real = coideal_generators(params)
     rho0 = params.rho0 if args.rho0 is None else args.rho0
     rho1 = params.rho1 if args.rho1 is None else args.rho1
-    lines = [json.dumps({
+    _write_line(out, json.dumps({
         "sites": args.sites, "dim": real.dim, "q": str(real.q),
-        "rho0": str(rho0), "rho1": str(rho1)}, sort_keys=True)]
+        "rho0": str(rho0), "rho1": str(rho1)}, sort_keys=True))
     if not check_qdg(real.A, real.Astar, rho0, rho1, real.q):
-        lines.append(json.dumps({"gate": "failed"}, sort_keys=True))
-        _write_output("\n".join(lines) + "\n", args.out)
+        _write_line(out, json.dumps({"gate": "failed"}, sort_keys=True))
         return EXIT_GATE
-    lines.append(json.dumps({"gate": "passed"}, sort_keys=True))
+    _write_line(out, json.dumps({"gate": "passed"}, sort_keys=True))
     all_zero = True
     for table in coeff_tables(args.r, args.route):
         r = table.r
@@ -227,9 +252,8 @@ def cmd_matrix_check(args) -> int:
             image = eval_ncpoly(lhs, real.A, real.Astar, real.q, rho0, rho1)
             zero = image.is_zero()
             all_zero = all_zero and zero
-            lines.append(json.dumps(
+            _write_line(out, json.dumps(
                 {"r": r, "family": family, "zero_matrix": zero}, sort_keys=True))
-    _write_output("\n".join(lines) + "\n", args.out)
     return EXIT_OK if all_zero else EXIT_RELATION
 
 
@@ -238,15 +262,14 @@ def cmd_matrix_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_reduce(args) -> int:
+def cmd_reduce(args, out) -> int:
     expr = parse_expression(args.expression)
     if args.trace:
         trace = trace_reduction(expr)
-        out = "".join(line + "\n" for line in trace.lines())
-        out += trace.final.to_string() + "\n"
+        out.writelines(line + "\n" for line in trace.lines())
+        out.write(trace.final.to_string() + "\n")
     else:
-        out = normal_form(expr).to_string() + "\n"
-    _write_output(out, args.out)
+        out.write(normal_form(expr).to_string() + "\n")
     return EXIT_OK
 
 
@@ -277,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_matrix = sub.add_parser("matrix-check", help="exact matrix realization checks")
-    p_matrix.add_argument("--sites", type=_int_at_most(MAX_SITES, "sites"), default=1)
+    p_matrix.add_argument("--sites", type=_int_in(1, MAX_SITES, "sites"), default=1)
     p_matrix.add_argument("--t", type=_fraction, default=Fraction(3, 2))
     p_matrix.add_argument("--v", type=_fraction_list, default=None,
                           help="comma-separated spectral parameters, one per site")
@@ -308,16 +331,28 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
-    except (UsageError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # opened before any work, so an unwritable --out costs nothing
+        output = _open_output(args.out)
+    except OSError as exc:
+        print(f"error: cannot write --out: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ExactDivisionError, AssertionError) as exc:
-        print(f"integrity error: {exc}", file=sys.stderr)
-        return EXIT_INTEGRITY
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    with output as out:
+        try:
+            return args.func(args, out)
+        except BrokenPipeError:
+            # the reader left early (`| head`): stop quietly with the status
+            # SIGPIPE would give (128 + 13), and send the final flush nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 141
+        except (UsageError, ParseError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except (ExactDivisionError, AssertionError) as exc:
+            print(f"integrity error: {exc}", file=sys.stderr)
+            return EXIT_INTEGRITY
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
 
 
 if __name__ == "__main__":

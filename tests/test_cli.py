@@ -6,13 +6,17 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
 import qonsager
+import qonsager.cli as cli
 from qonsager import (
+    ROUTES,
     ExactDivisionError,
     coeff_table,
+    coeff_tables,
     normal_form,
     parse_expression,
     power_astar_expansion,
@@ -155,8 +159,6 @@ def test_coeffs_usage_errors(capsys):
 
 
 def test_coeffs_integrity_exit(monkeypatch, capsys):
-    import qonsager.cli as cli
-
     def boom(r, route):
         raise ExactDivisionError("not divisible")
 
@@ -164,6 +166,122 @@ def test_coeffs_integrity_exit(monkeypatch, capsys):
     code, _, err = run(capsys, "coeffs", "--r", "2")
     assert code == EXIT_INTEGRITY
     assert "integrity" in err
+
+
+def whole_document_json(table):
+    """The JSON export as one document tree, the construction the per-entry
+    writer replaced."""
+    entries = []
+    for (p, j), value in table.items_sorted():
+        laurent = {str(e): str(value.terms[e]) for e in sorted(value.terms, reverse=True)}
+        entries.append({"p": p, "j": j, "laurent": laurent})
+    doc = {"r": table.r, "route": table.route, "entries": entries}
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_json_export_matches_the_whole_document(route):
+    for table in coeff_tables(6, route):
+        assert cli.table_to_json(table) == whole_document_json(table), (route, table.r)
+    if route == "lusztig":  # zero entries print an empty polynomial
+        assert '"laurent":{}' in cli.table_to_json(table)
+
+
+def test_json_export_allocates_little_beyond_its_output():
+    # a tree of the whole document takes about 18x its output, one entry at a time 2x
+    table = coeff_table(11, "genfun")
+    tracemalloc.start()
+    try:
+        text = cli.table_to_json(table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * len(text)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "latex"])
+def test_coeffs_out_bytes_equal_the_formatter(tmp_path, capsys, fmt):
+    path = tmp_path / ("table." + fmt)
+    code, out, _ = run(capsys, "coeffs", "--r", "7", "--route", "lusztig",
+                       "--format", fmt, "--out", str(path))
+    assert code == EXIT_OK and out == ""
+    assert path.read_bytes() == _FORMATTERS[fmt](coeff_table(7, "lusztig")).encode()
+
+
+@pytest.mark.parametrize("option", [("coeffs", "--r"), ("verify", "--r-max"),
+                                    ("matrix-check", "--r")], ids=lambda option: option[0])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_r_below_one_exits_2(capsys, option, value):
+    code, out, err = run(capsys, *option, value)
+    assert code == EXIT_USAGE
+    assert out == "" and "below 1" in err
+
+
+SUBCOMMANDS = [("coeffs", "--r", "3"), ("verify", "--r-max", "2", "--family", "both"),
+               ("matrix-check", "--sites", "1", "--r", "2"), ("reduce", "A^5 A*", "--trace")]
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("computed before --out was opened")
+
+
+@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("target", ["missing/report", "."])
+def test_unwritable_out_exits_2_before_any_work(tmp_path, monkeypatch, capsys, argv, target):
+    for name in ("coeff_table", "coeff_tables", "coideal_generators",
+                 "normal_form", "trace_reduction"):
+        monkeypatch.setattr(cli, name, _refuse)
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / target))
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("error: cannot write --out")
+
+
+def _without_timings(text):
+    return re.sub(r'"elapsed_ms": [0-9.e-]+', "", text)
+
+
+@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])
+def test_out_file_equals_stdout(tmp_path, capsys, argv):
+    path = tmp_path / "out"
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK and out
+    assert run(capsys, *argv, "--out", str(path)) == (EXIT_OK, "", "")
+    assert _without_timings(path.read_text()) == _without_timings(out)
+
+
+@pytest.mark.parametrize("argv, head, per_r", [
+    (("verify", "--r-max", "3", "--family", "both"), 0, 2),
+    (("matrix-check", "--sites", "1", "--r", "3"), 2, 2),
+], ids=["verify", "matrix-check"])
+def test_report_lines_are_written_as_each_r_finishes(tmp_path, monkeypatch, capsys,
+                                                     argv, head, per_r):
+    path = tmp_path / "report"
+    seen = []
+
+    def tables(r_max, route):
+        for table in coeff_tables(r_max, route):
+            seen.append(len(path.read_text().splitlines()))
+            yield table
+
+    monkeypatch.setattr(cli, "coeff_tables", tables)
+    code, _, _ = run(capsys, *argv, "--out", str(path))
+    assert code == EXIT_OK
+    assert seen == [head + per_r * r for r in range(3)]
+    assert len(path.read_text().splitlines()) == head + per_r * 3
+
+
+def test_a_reader_that_leaves_early_ends_the_run_quietly():
+    # each line is flushed as its r is done, so the write after the reader
+    # left fails; the run stops there with the SIGPIPE status, no traceback
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qonsager.__file__)))
+    proc = subprocess.Popen([sys.executable, "-m", "qonsager.cli", "verify", "--r-max", "6"],
+                            env=dict(os.environ, PYTHONPATH=src),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert json.loads(proc.stdout.readline())["r"] == 1
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_verify_small_range(capsys):
