@@ -13,7 +13,6 @@ from .exactring import (
     RHO0,
     RHO1,
     RingElement,
-    parse_laurent,
 )
 from .qnumbers import (
     EigenvalueData,
@@ -111,7 +110,6 @@ __all__ = [
     "normal_form",
     "normal_form_with_stats",
     "parse_expression",
-    "parse_laurent",
     "power_astar_expansion",
     "qbinomial",
     "qbinomial_theorem_check",

@@ -194,9 +194,6 @@ def table_to_latex(table: CoeffTable) -> str:
     return "".join(_latex_chunks(table))
 
 
-_FORMATTERS = {"json": table_to_json, "csv": table_to_csv, "latex": table_to_latex}
-
-
 def cmd_coeffs(args, out) -> int:
     out.writelines(_CHUNKS[args.format](coeff_table(args.r, args.route)))
     return EXIT_OK

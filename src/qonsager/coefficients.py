@@ -69,10 +69,6 @@ class CoeffTable:
             raise KeyError(f"({p}, {j}) outside table for r={self.r}")
         return self.entries[(p, j)]
 
-    def get(self, p: int, j: int) -> LaurentPoly:
-        """Zero outside the triangular index range (finite-support convention)."""
-        return self.entries.get((p, j), LaurentPoly.zero())
-
     def items_sorted(self):
         for p in range(self.r + 1):
             for j in range(self.row_width(p) + 1):
@@ -258,15 +254,14 @@ class RecursionTables:
     off its grid, so its column families need no boundary cases either.
 
     The level-r entries (``c``) and the arrays are ``Packed`` values of one
-    ``PackedRing`` of stride 2, at ``ring`` or else at the table's first
-    width guess (``_first_width``); ``m`` and ``n`` unpack, and raise
+    ``PackedRing`` of stride 2, ``ring``; ``m`` and ``n`` unpack, and raise
     ``WidthTooNarrow`` at construction when the ring does not prove every
     array entry.
     """
 
-    def __init__(self, table: CoeffTable, ring: PackedRing = None):
+    def __init__(self, table: CoeffTable, ring: PackedRing):
         self.r = r = table.r
-        self.ring = ring = ring or PackedRing(_first_width(table), 2)
+        self.ring = ring
         self.c = {key: ring.pack(value) for key, value in table.entries.items()}
         zero = ring.zero
 

@@ -87,9 +87,7 @@ of products of one coefficient of each operand, so by the triangle
 inequality it is at most |start|_1 prod_t |f_t|_1, and no more than
 B = |start|_1 prod_s |f_s|_1 over the whole run, since a nonzero factor has
 |f|_1 >= 1.  B also bounds every coefficient that is packed.  W comes from
-B as above, and ``unpack_poly`` checks every digit it reads.  A run that
-spans at least as many slots as it has term pairs goes through the generic
-product ``_times`` instead.
+B as above, and ``unpack_poly`` checks every digit it reads.
 
 Rational numbers for matrix evaluation are ``fractions.Fraction``.
 """
@@ -415,32 +413,21 @@ def running_product(start: dict, factors: list):
     unpacks only what a yielded function is called for.  A factor's
     coefficient of one term, or with at least twice as many slots as terms,
     is applied as shifted adds; any other is one int product with its
-    packing.  A run that spans at least as many exponent slots as it has
-    term pairs (a sparse or zero operand) goes through ``_times`` instead.
+    packing.  Each packed int holds a slot for every exponent of its span,
+    so a run pays for its span, not its terms.
     """
     operands = [{key: t for key, c in poly.items() if (t := _exponents(c))}
                 for poly in (start, *factors)]
     lows = []
-    span = stride = 0
-    bound = pairs = 1
+    stride = 0
+    bound = 1
     for poly in operands:
         exps = [e for t in poly.values() for e in t]
-        if not exps:
-            pairs = 0
-            break
-        low = min(exps)
+        low = min(exps, default=0)
         lows.append(low)
-        span += max(exps) - low
         stride = gcd(stride, *(e - low for e in exps))
         bound *= sum(abs(c) for t in poly.values() for c in t.values())
-        pairs *= len(exps)
     stride = stride or 1
-    if span // stride >= pairs:
-        poly = {key: LaurentPoly._wrap(t) for key, t in operands[0].items()}
-        for factor in factors:
-            poly = {key: v for key, v in _times(poly, factor).items() if v}
-            yield partial(dict, poly)
-        return
     width = _width(bound)
     base = lows[0]
     values = {key: pack_poly(t, width, -base, stride) for key, t in operands[0].items()}
@@ -750,7 +737,8 @@ class LaurentPoly(SparseSum):
         """Canonical form: strictly decreasing exponents, q^0 elided, q^1 as q.
 
         This string is the bit-exact export format used by the CSV and LaTeX
-        emitters and the test fixtures.
+        emitters; ``freealg.parse_expression`` reads it back, as the test
+        fixtures do.
         """
         pieces = []
         for e in sorted(self.terms, reverse=True):
@@ -763,66 +751,6 @@ class LaurentPoly(SparseSum):
                 body = qp if mag == 1 else f"{mag}*{qp}"
             pieces.append((c < 0, body))
         return signed_join(pieces)
-
-
-def parse_laurent(text: str) -> LaurentPoly:
-    """Parse the canonical Laurent grammar.
-
-    laurent := term (('+'|'-') term)*
-    term    := integer ['*' 'q' ['^' signed-integer]] | 'q' ['^' signed-integer]
-    """
-    s = text.replace(" ", "")
-    if not s:
-        raise ValueError("empty Laurent literal")
-    if s == "0":
-        return LaurentPoly()
-    terms = {}
-    i = 0
-    n = len(s)
-
-    def read_int(j, allow_sign=False):
-        k = j
-        if allow_sign and k < n and s[k] in "+-":
-            k += 1
-        start_digits = k
-        while k < n and s[k].isdigit():
-            k += 1
-        if k == start_digits:
-            raise ValueError(f"expected integer at position {j} in {text!r}")
-        return int(s[j:k]), k
-
-    first = True
-    while i < n:
-        start = i
-        sign = 1
-        if s[i] == "+":
-            if first:
-                raise ValueError(f"unexpected '+' at position {i} in {text!r}")
-            i += 1
-        elif s[i] == "-":
-            sign = -1
-            i += 1
-        first = False
-        coeff = 1
-        had_body = False
-        if i < n and s[i].isdigit():
-            coeff, i = read_int(i)
-            had_body = True
-            if i < n and s[i] == "*":
-                i += 1
-                if i >= n or s[i] != "q":
-                    raise ValueError(f"expected 'q' at position {i} in {text!r}")
-        exp = 0
-        if i < n and s[i] == "q":
-            i += 1
-            exp = 1
-            had_body = True
-            if i < n and s[i] == "^":
-                exp, i = read_int(i + 1, allow_sign=True)
-        if not had_body or i == start:
-            raise ValueError(f"unexpected character at position {i} in {text!r}")
-        terms[exp] = terms.get(exp, 0) + sign * coeff
-    return LaurentPoly(terms)
 
 
 _L_ZERO = LaurentPoly.zero()

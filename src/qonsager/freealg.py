@@ -304,16 +304,14 @@ def _parse_factors(sc: _Scanner) -> Word:
 
 
 def _parse_term(sc: _Scanner) -> NcPoly:
+    # a coeff or a factor, which may be A^0, the empty word
     coeff = RingElement.one()
-    had_coeff = False
     if _starts_coeff(sc):
         coeff = _parse_scalar_product(sc)
-        had_coeff = True
         sc.take("*")
-    word = _parse_factors(sc)
-    if not word and not had_coeff:
+    elif sc.peek() != "A":
         raise ParseError("expected a term", sc.pos)
-    return NcPoly({word: coeff})
+    return NcPoly({_parse_factors(sc): coeff})
 
 
 def parse_expression(text: str) -> NcPoly:

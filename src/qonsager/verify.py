@@ -89,14 +89,16 @@ def verify_relation(r: int, route: str = "genfun",
                     table: CoeffTable | None = None) -> VerificationReport:
     """Reduce the family-1 relation for this r to normal form.
 
-    ``table`` overrides the route (used by negative controls); the report's
-    ``family_two`` is the family-2 report, certified by the automorphism
-    from the same reduction.
+    ``table`` overrides the route (used by negative controls) and must be
+    a table at this r; the report's ``family_two`` is the family-2 report,
+    certified by the automorphism from the same reduction.
     """
     if r < 1:
         raise ValueError("need r >= 1")
     if table is None:
         table = coeff_table(r, route)
+    elif table.r != r:
+        raise ValueError(f"a table at r={table.r} does not state the relation at r={r}")
     else:
         route = table.route
     start = time.perf_counter()

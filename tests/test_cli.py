@@ -27,7 +27,6 @@ from qonsager.cli import (
     EXIT_OK,
     EXIT_RELATION,
     EXIT_USAGE,
-    _FORMATTERS,
     build_parser,
     main,
 )
@@ -52,7 +51,7 @@ R20_EXPORT_DIGESTS = {
 def test_r20_exports_are_pinned():
     table = coeff_table(20, "genfun")
     for fmt, digest in R20_EXPORT_DIGESTS.items():
-        assert hashlib.sha256(_FORMATTERS[fmt](table).encode()).hexdigest() == digest, fmt
+        assert hashlib.sha256(getattr(cli, "table_to_" + fmt)(table).encode()).hexdigest() == digest, fmt
 
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
@@ -205,7 +204,7 @@ def test_coeffs_out_bytes_equal_the_formatter(tmp_path, capsys, fmt):
     code, out, _ = run(capsys, "coeffs", "--r", "7", "--route", "lusztig",
                        "--format", fmt, "--out", str(path))
     assert code == EXIT_OK and out == ""
-    assert path.read_bytes() == _FORMATTERS[fmt](coeff_table(7, "lusztig")).encode()
+    assert path.read_bytes() == getattr(cli, "table_to_" + fmt)(coeff_table(7, "lusztig")).encode()
 
 
 @pytest.mark.parametrize("option", [("coeffs", "--r"), ("verify", "--r-max"),
@@ -365,6 +364,12 @@ def test_reduce_defining_monomial(capsys):
     assert code == EXIT_OK
     assert out == ("rho0 A A* - rho0 A* A + (q^2+1+q^-2) A^2 A* A"
                    " + (-q^2-1-q^-2) A A* A^2 + A* A^3\n")
+
+
+@pytest.mark.parametrize("expression", ["A^0", "A*^0 A^0"])
+def test_reduce_a_term_of_zeroth_powers_is_one(capsys, expression):
+    # a term may be factors alone, even factors that multiply to the empty word
+    assert run(capsys, "reduce", expression) == (EXIT_OK, "1\n", "")
 
 
 def test_reduce_irreducible(capsys):

@@ -22,7 +22,7 @@ from qonsager import (
     coeff_tables,
     lusztig_coeffs,
     normal_form,
-    parse_laurent,
+    parse_expression,
     qbinomial,
     qbinomial_theorem_check,
     qint,
@@ -34,12 +34,14 @@ from qonsager.cli import table_to_json
 from qonsager.coefficients import (
     ROUTES,
     RecursionTables,
+    _first_width,
     advance_table,
     genfun_polynomial,
     qbinom_product_coeffs,
     qbinom_theorem_coeffs,
     seed_table,
 )
+from qonsager.exactring import PackedRing
 
 I2 = lambda s: qint(s, base=2)
 B = lambda s: qint(2 * s, base=2).divexact(qint(s, base=2))
@@ -51,7 +53,7 @@ def golden_r2():
         (0, 0): one,
         (0, 1): qbinomial(5, 1),
         (0, 2): qbinomial(5, 2),
-        (1, 0): parse_laurent("q^4+3+q^-4"),
+        (1, 0): parse_expression("q^4+3+q^-4"),
         (1, 1): qint(5) * qint(3),
         (2, 0): (LaurentPoly.q_power(2) + LaurentPoly.q_power(-2)) ** 2,
     }
@@ -207,7 +209,7 @@ def test_recursion_seed_and_first_step():
     assert t1.entry(0, 1) == qint(3)
     assert t1.entry(1, 0) == LaurentPoly.one()
     t2 = advance_table(t1)
-    assert t2.entry(1, 0) == parse_laurent("q^4+3+q^-4")
+    assert t2.entry(1, 0) == parse_expression("q^4+3+q^-4")
     assert t2.entry(0, 2) == qbinomial(5, 2)
 
 
@@ -359,7 +361,7 @@ def test_mn_tables_satisfy_the_shifted_relations_in_the_free_algebra():
     # the differences must reduce to zero
     for r in range(1, 6):
         table = reduced_genfun_coeffs(r)
-        mn = RecursionTables(table)
+        mn = RecursionTables(table, PackedRing(_first_width(table), 2))
         for shift, lookup in ((1, mn.m), (2, mn.n)):
             lhs = A ** (2 * r + 1 + shift) * ASTAR ** r
             acc = lhs
@@ -379,7 +381,8 @@ def test_recursion_table_index_ranges():
     # M^{(r,0)}_j over j = 2..2r+2, N^{(r,0)}_j over j = 3..2r+3, and the
     # shifted ranges for p >= 1 that the expansions support
     for r in (1, 2, 4):
-        mn = RecursionTables(reduced_genfun_coeffs(r))
+        table = reduced_genfun_coeffs(r)
+        mn = RecursionTables(table, PackedRing(_first_width(table), 2))
         m_keys = {(p, j) for (p, j) in mn._m}
         n_keys = {(p, j) for (p, j) in mn._n}
         expected_m = {(0, j) for j in range(2, 2 * r + 3)}

@@ -79,6 +79,8 @@ def test_parse_simple_words():
     assert parse_expression("A* A") == ASTAR * A
     assert parse_expression("A*^2 A^2") == ASTAR ** 2 * A ** 2
     assert parse_expression("1") == NcPoly.one()
+    assert parse_expression("A^0") == parse_expression("A*^0 A^0") == NcPoly.one()
+    assert parse_expression("A^0 A*") == ASTAR
 
 
 def test_parse_coefficients():
@@ -106,6 +108,8 @@ def test_parse_errors_carry_position():
     with pytest.raises(ParseError) as info:
         parse_expression("A^3 +")
     assert info.value.pos == 5
+    with pytest.raises(ParseError, match="expected a term"):
+        parse_expression("A + *")
     with pytest.raises(ParseError):
         parse_expression("q^^2 A")
     with pytest.raises(ParseError):

@@ -13,6 +13,7 @@ from qonsager import (
     build_relation_lhs,
     check_qdg,
     check_realization,
+    coeff_table,
     coideal_generators,
     eval_ncpoly,
     evaluation_rep,
@@ -171,6 +172,15 @@ def test_defining_relation_evaluates_to_zero():
     real = gate_realization(1)
     lhs = build_relation_lhs(reduced_genfun_coeffs(1), family=1)
     assert eval_ncpoly(lhs, real.A, real.Astar, real.q, real.rho0, real.rho1).is_zero()
+
+
+@pytest.mark.parametrize("route", ["genfun", "closed", "recursion"])
+def test_the_gate_relations_are_the_r1_relations_of_every_route(route):
+    # check_qdg writes the defining relation out by hand; it must be the
+    # r = 1 relation that each route's table states
+    table = coeff_table(1, route)
+    assert matrixrep._QDG == build_relation_lhs(table, family=1)
+    assert matrixrep._QDG_DAGGER == build_relation_lhs(table, family=2)
 
 
 def test_r2_relation_evaluates_to_zero_on_two_sites():

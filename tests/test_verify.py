@@ -136,6 +136,12 @@ def test_incomplete_table_is_an_error():
         build_relation_lhs(CoeffTable(r=2, route="broken", entries=entries))
 
 
+def test_a_table_at_another_r_is_an_error():
+    # its report would say r = 5 and certify the r = 3 relation
+    with pytest.raises(ValueError, match="r=3"):
+        verify_relation(5, table=reduced_genfun_coeffs(3))
+
+
 def test_cross_check_routes_agree():
     report = cross_check_routes(4)
     assert report.equal
