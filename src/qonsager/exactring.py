@@ -86,7 +86,9 @@ start f_1 ... f_s, or of a partial sum of the step that builds it, is a sum
 of products of one coefficient of each operand, so by the triangle
 inequality it is at most |start|_1 prod_t |f_t|_1, and no more than
 B = |start|_1 prod_s |f_s|_1 over the whole run, since a nonzero factor has
-|f|_1 >= 1.  B also bounds every coefficient that is packed.  W comes from
+|f|_1 >= 1.  A zero operand counts as 1 in B: from it on every product is
+zero, so it leaves nothing to pack.  B also bounds every coefficient that
+is packed.  W comes from
 B as above, and ``unpack_poly`` checks every digit it reads.
 
 Rational numbers for matrix evaluation are ``fractions.Fraction``.
@@ -426,7 +428,7 @@ def running_product(start: dict, factors: list):
         low = min(exps, default=0)
         lows.append(low)
         stride = gcd(stride, *(e - low for e in exps))
-        bound *= sum(abs(c) for t in poly.values() for c in t.values())
+        bound *= sum(abs(c) for t in poly.values() for c in t.values()) or 1
     stride = stride or 1
     width = _width(bound)
     base = lows[0]

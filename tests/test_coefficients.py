@@ -34,7 +34,6 @@ from qonsager.cli import table_to_json
 from qonsager.coefficients import (
     ROUTES,
     RecursionTables,
-    _first_width,
     advance_table,
     genfun_polynomial,
     qbinom_product_coeffs,
@@ -42,6 +41,10 @@ from qonsager.coefficients import (
     seed_table,
 )
 from qonsager.exactring import PackedRing
+
+# one machine word per slot proves every M and N entry for r <= 5;
+# RecursionTables raises WidthTooNarrow where it does not
+WORD_RING = PackedRing(64, 2)
 
 I2 = lambda s: qint(s, base=2)
 B = lambda s: qint(2 * s, base=2).divexact(qint(s, base=2))
@@ -361,7 +364,7 @@ def test_mn_tables_satisfy_the_shifted_relations_in_the_free_algebra():
     # the differences must reduce to zero
     for r in range(1, 6):
         table = reduced_genfun_coeffs(r)
-        mn = RecursionTables(table, PackedRing(_first_width(table), 2))
+        mn = RecursionTables(table, WORD_RING)
         for shift, lookup in ((1, mn.m), (2, mn.n)):
             lhs = A ** (2 * r + 1 + shift) * ASTAR ** r
             acc = lhs
@@ -382,7 +385,7 @@ def test_recursion_table_index_ranges():
     # shifted ranges for p >= 1 that the expansions support
     for r in (1, 2, 4):
         table = reduced_genfun_coeffs(r)
-        mn = RecursionTables(table, PackedRing(_first_width(table), 2))
+        mn = RecursionTables(table, WORD_RING)
         m_keys = {(p, j) for (p, j) in mn._m}
         n_keys = {(p, j) for (p, j) in mn._n}
         expected_m = {(0, j) for j in range(2, 2 * r + 3)}

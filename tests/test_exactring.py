@@ -483,11 +483,15 @@ def test_running_product_matches_times_step_by_step():
             bound *= l1(factor)
         wide.add(bound.bit_length() + 2 > 64)  # the run's width is not a machine word
     assert wide == {True, False}
-    # a zero factor or start: every step is zero
+    # a zero factor or start: every step from it on is zero, and a zero
+    # factor leaves the width of the steps before it as wide as they need
     start, near = {(0,): qint(5), (1,): 3}, {(0,): qint(4), (2,): -2}
-    for start, factors in ((start, [near, {(0,): 0}, near]), ({}, [near, near])):
+    big = {(0,): 10 ** 6}
+    for start, factors in ((start, [near, {(0,): 0}, near]), ({}, [near, near]),
+                           (big, [big, {(0,): 0}]), (big, [{(0,): 0}, big])):
         steps = [step() for step in running_product(start, factors)]
         assert steps == list(expected_run(start, factors)) and steps[-1] == {}
+    assert next(running_product(big, [big, {(0,): 0}]))() == {(0,): 10 ** 12}
 
 
 @pytest.mark.parametrize("width", [8, 16, 32, 64, 3, 7, 39, 70, 200])
