@@ -39,7 +39,6 @@ from .rewrite import (
 from .coefficients import (
     ROUTES,
     CoeffTable,
-    RecursionTables,
     closedform_table,
     coeff_table,
     coeff_tables,
@@ -88,7 +87,6 @@ __all__ = [
     "RHO1",
     "ROUTES",
     "Rational",
-    "RecursionTables",
     "ReductionTrace",
     "RingElement",
     "TridiagonalParams",

@@ -9,9 +9,9 @@ The negative control is a route, not a flag: ``verify --route
 closed-literal`` exits 1 from r = 3 on.
 
 Exit codes: 0 success, 1 relation failure, 2 usage (also an ``--out`` that
-cannot be opened; it is opened before any work), 3 internal integrity (e.g. a
-non-exact division in the recursion route), 4 matrix gate failure, 141 when
-the reader of stdout leaves early.
+cannot be opened, which is opened before any work, or output that cannot be
+written), 3 internal integrity (e.g. a non-exact division in the recursion
+route), 4 matrix gate failure, 141 when the reader of stdout leaves early.
 
 Data outputs are byte-deterministic for fixed inputs; verification reports
 carry wall-clock timings by design.
@@ -27,7 +27,7 @@ import sys
 from fractions import Fraction
 
 from .exactring import ExactDivisionError, LaurentPoly, signed_join
-from .freealg import ParseError, parse_expression
+from .freealg import parse_expression
 from .qnumbers import qbinomial
 from .coefficients import ROUTES, CoeffTable, coeff_table, coeff_tables
 from .rewrite import normal_form, trace_reduction
@@ -333,23 +333,25 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot write --out: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    with output as out:
-        try:
-            return args.func(args, out)
-        except BrokenPipeError:
-            # the reader left early (`| head`): stop quietly with the status
-            # SIGPIPE would give (128 + 13), and send the final flush nowhere
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            return 141
-        except (UsageError, ParseError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        except (ExactDivisionError, AssertionError) as exc:
-            print(f"integrity error: {exc}", file=sys.stderr)
-            return EXIT_INTEGRITY
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+    try:
+        with output as out:
+            try:
+                return args.func(args, out)
+            except (ExactDivisionError, AssertionError) as exc:
+                print(f"integrity error: {exc}", file=sys.stderr)
+                return EXIT_INTEGRITY
+            except ValueError as exc:  # UsageError and ParseError too
+                print(f"error: {exc}", file=sys.stderr)
+                return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader left early (`| head`): stop quietly with the status
+        # SIGPIPE would give (128 + 13), and send the final flush nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    except OSError as exc:
+        # a write, flush or close failed, as on a full disk
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -19,10 +19,10 @@ the signs (-1)^{j+p} off the product under y -> -y, rho0 -> -rho0
 (``_reduced_expansions`` says why that is sound).
 
 Route 3 (``recursion_coeffs``): the inductive r -> r+1 step through the
-M/N/eta recursion tables; every division is exact and asserted.  A step
-runs on the packed values of one ``exactring.PackedRing`` of stride 2: each
+M, N and eta arrays; every division is exact and asserted.  A step runs on
+the packed values of one ``exactring.PackedRing`` of stride 2: each
 level-r entry, eta value and new leading entry is packed once, M and N stay
-packed, and only the new entries and the M/N values that the divisions
+packed, and only the new entries and the M and N values that the divisions
 read are unpacked, at a width that the tracked norms prove; a first width
 that turns out too narrow reruns the step (``advance_table``).
 
@@ -43,7 +43,7 @@ from functools import partial
 from math import comb
 
 from .exactring import LaurentPoly, PackedRing, WidthTooNarrow, _times, _width, running_product
-from .qnumbers import qbinomial, reduced_tridiagonal_params
+from .qnumbers import beta_s, qbinomial, qint
 from .rewrite import ETA
 
 ROUTES = ("genfun", "closed", "closed-literal", "recursion", "lusztig")
@@ -145,9 +145,8 @@ def genfun_polynomial(r: int, params) -> dict:
 
 def _reduced_step(s: int) -> tuple:
     """(beta_s, [s]^2_{q^2}) as LaurentPolys: the beta_s and delta_s / rho0 of
-    ``reduced_tridiagonal_params(s)``."""
-    step = reduced_tridiagonal_params(s)
-    return step.beta.terms[(0, 0)], step.delta.terms[(1, 0)]
+    the reduced sequence (``reduced_tridiagonal_params``)."""
+    return beta_s(s), qint(s, base=2) ** 2
 
 
 def _reduced_expansions(r_max: int):
@@ -238,54 +237,39 @@ def _closed_table(r: int, literal: bool, sums) -> CoeffTable:
 # ---------------------------------------------------------------------------
 
 
-class RecursionTables:
-    """The M^{(r,p)}_j and N^{(r,p)}_j arrays derived from a level-r table.
+def _recursion_arrays(table: CoeffTable, ring: PackedRing) -> tuple:
+    """The level-r entries c and the arrays M^{(r,p)}_j and N^{(r,p)}_j, the
+    coefficients of the once- and twice-left-multiplied relation after
+    re-reduction, as three ``{(p, j): Packed}`` dicts on ``ring`` (stride 2).
 
-    They are the coefficients of the once- and twice-left-multiplied relation
-    after re-reduction, stored over exactly the index ranges those expansions
-    support; lookups outside are zero.
-
-    Each array is one formula over one index range.  The level-r entries
-    are read zero outside the triangle, so the boundary entries (j = 0, the
-    last one or two j of a row, the row p = r + 1 of N) are the general
-    formula with the missing entries dropped, and the row p = 1 of N is the
-    general formula at c_0^{[r,0]} = 1 (its j = 0 entry vanishes).
-    ``_advance`` reads them zero outside in the same way, as it reads eta
-    off its grid, so its column families need no boundary cases either.
-
-    The level-r entries (``c``) and the arrays are ``Packed`` values of one
-    ``PackedRing`` of stride 2, ``ring``; ``m`` and ``n`` unpack, and raise
-    ``WidthTooNarrow`` at construction when the ring does not prove every
-    array entry.
+    Each array is one formula over exactly the index range its expansion
+    supports, and reads the level-r entries as zero outside the triangle:
+    the boundary entries (j = 0, the last one or two j of a row, the row
+    p = r + 1 of N) are the general formula with the missing entries
+    dropped, and the row p = 1 of N is the general formula at
+    c_0^{[r,0]} = 1 (its j = 0 entry vanishes).  ``_advance`` reads all
+    three as zero outside, as it reads eta off its grid, so its column
+    families need no boundary cases either.  No entry needs a proved width
+    here, since a ``Packed`` value is exact at any width: ``_advance``
+    unpacks only N(0, 3) and M(0, 2), through ``PackedRing.unpack``, and
+    checks the bounds of its family sums before it unpacks any.
     """
+    r = table.r
+    c = {key: ring.pack(value) for key, value in table.entries.items()}
+    zero = ring.zero
 
-    def __init__(self, table: CoeffTable, ring: PackedRing):
-        self.r = r = table.r
-        self.ring = ring
-        self.c = {key: ring.pack(value) for key, value in table.entries.items()}
-        zero = ring.zero
+    def at(p, j):
+        return c.get((p, j), zero)
 
-        def c(p, j):
-            return self.c.get((p, j), zero)
-
-        c1 = c(0, 1)
-        one = table.entry(0, 1)
-        c11_2 = ring.pack(one * one - table.entry(0, 2))
-        self._m = {(p, j): c(p, j) - c1 * c(p, j - 1)
-                   for p in range(r + 1)
-                   for j in range(2 if p == 0 else 0, 2 * (r - p) + 3)}
-        self._n = {(p, j): c11_2 * c(p, j - 2) - c1 * c(p, j - 1) + c(p, j) - c(1, 0) * c(p - 1, j)
-                   for p in range(r + 2)
-                   for j in range(3 if p == 0 else 0, 2 * (r - p) + 4)}
-        ring.check(max(v.sup for v in (*self._m.values(), *self._n.values())))
-
-    def m(self, p: int, j: int) -> LaurentPoly:
-        value = self._m.get((p, j))
-        return LaurentPoly.zero() if value is None else self.ring.unpack(value)
-
-    def n(self, p: int, j: int) -> LaurentPoly:
-        value = self._n.get((p, j))
-        return LaurentPoly.zero() if value is None else self.ring.unpack(value)
+    c1 = c[(0, 1)]
+    c11_2 = ring.pack(table.entry(0, 1) ** 2 - table.entry(0, 2))
+    m = {(p, j): at(p, j) - c1 * at(p, j - 1)
+         for p in range(r + 1)
+         for j in range(2 if p == 0 else 0, 2 * (r - p) + 3)}
+    n = {(p, j): c11_2 * at(p, j - 2) - c1 * at(p, j - 1) + at(p, j) - at(1, 0) * at(p - 1, j)
+         for p in range(r + 2)
+         for j in range(3 if p == 0 else 0, 2 * (r - p) + 4)}
+    return c, m, n
 
 
 def seed_table() -> CoeffTable:
@@ -333,19 +317,20 @@ def _advance(table: CoeffTable, ring: PackedRing) -> dict:
     Every row p >= 1 comes from two column families, the odd columns
     j = 2k + 3 and the even columns j = 2k + 2 of row p = jj - k, each one
     formula over jj = 0..r and k = -1..jj-1.  The level-r entries, M and N
-    read as zero outside their tables (``RecursionTables``) and
+    read as zero outside their tables (``_recursion_arrays``) and
     eta^{(m)}_{k,2} as zero off its grid (``EtaTable.get``), so the
     columns j = 0..5 are the k = -1, 0 and 1 passes and the row p = r + 1
     is the k = -1 pass.  The even family's entry (1, 0) re-derives the
     order-rho0 condition and is checked against it.
     """
     r = table.r
-    mn = RecursionTables(table, ring)
+    cs, ms, ns = _recursion_arrays(table, ring)
     new: dict = {}
 
     # leading entries from the two lowest-order vanishing conditions
-    c1_new = -(mn.n(0, 3) * ETA.value(3, 1, 0)).divexact(mn.m(0, 2))
-    c2_new = -(mn.n(0, 3) * ETA.value(3, 1, 1)).divexact(table.entry(0, 1))
+    n03 = ring.unpack(ns[(0, 3)])
+    c1_new = -(n03 * ETA.value(3, 1, 0)).divexact(ring.unpack(ms[(0, 2)]))
+    c2_new = -(n03 * ETA.value(3, 1, 1)).divexact(table.entry(0, 1))
     if c1_new != qbinomial(2 * r + 3, 1) or c2_new != qbinomial(2 * r + 3, 2):
         raise AssertionError("vanishing conditions disagree with the q-binomial row")
     for j in range(2 * r + 4):
@@ -358,31 +343,26 @@ def _advance(table: CoeffTable, ring: PackedRing) -> dict:
     new[(1, 0)] = c01
 
     # the formulas below run over the packed level-r entries, M, N, new
-    # leading entries and eta values, each packed once; put records each
+    # leading entries and eta values, each packed once; sums holds each
     # result, and all of them are unpacked at the end
     c1_new, c2_new, c01 = ring.pack(c1_new), ring.pack(c2_new), ring.pack(c01)
     zero = ring.zero
-    etas = {}
+    etas, sums = {}, {}
 
     def c(p, j):
-        return mn.c.get((p, j), zero)
+        return cs.get((p, j), zero)
 
     def m(p, j):
-        return mn._m.get((p, j), zero)
+        return ms.get((p, j), zero)
 
     def n(p, j):
-        return mn._n.get((p, j), zero)
+        return ns.get((p, j), zero)
 
     def eta2(m, k):
         value = etas.get((m, k))
         if value is None:
             value = etas[(m, k)] = ring.pack(ETA.get(m, k, 2))
         return value
-
-    puts = []
-
-    def put(p, j, value):
-        puts.append(((p, j), value))
 
     # the odd columns j = 2k + 3 and the even columns j = 2k + 2 of row
     # p = jj - k; eta^{(m)}_{k,2} is first in each product, so a zero eta
@@ -405,12 +385,12 @@ def _advance(table: CoeffTable, ring: PackedRing) -> dict:
                     eta2(h + 2, k) * n(i, h + 2)
                     + eta2(h + 1, k) * c1_new * m(i, h + 1)
                     + (eta2(h, k - 1) * c2_new - eta2(h, k) * c01) * c(i, h))
-            put(jj - k, 2 * k + 3, odd)
-            put(jj - k, 2 * k + 2, even)
+            sums[(jj - k, 2 * k + 3)] = odd
+            sums[(jj - k, 2 * k + 2)] = even
 
     # every bound is known before any entry is unpacked
-    ring.check(max(value.sup for _, value in puts))
-    for (p, j), value in puts:
+    ring.check(max(value.sup for value in sums.values()))
+    for (p, j), value in sums.items():
         value = ring.unpack(value)
         old = new.get((p, j))
         if old is not None and old != value:

@@ -283,9 +283,9 @@ def _parse_scalar_sum(sc: _Scanner) -> RingElement:
 
 
 def _starts_coeff(sc: _Scanner) -> bool:
-    ch = sc.peek()
-    return (ch.isdigit() or ch in "q([" or sc.startswith("rho0")
-            or sc.startswith("rho1"))
+    ch = sc.peek()  # "" at the end of the input, which "q([" contains
+    return ch != "" and (ch.isdigit() or ch in "q([" or sc.startswith("rho0")
+                         or sc.startswith("rho1"))
 
 
 def _parse_factors(sc: _Scanner) -> Word:

@@ -80,6 +80,19 @@ def test_readme_cli_examples_exit_as_stated(tmp_path, monkeypatch, capsys):
         capsys.readouterr()
 
 
+def test_readme_library_example_holds_what_its_comments_claim():
+    with open(README, encoding="utf-8") as fh:
+        library = fh.read().split("\n## Library\n")[1]
+    block = library.split("```python\n")[1].split("```")[0]
+    names = {}
+    exec(block, names)  # its import line fails when a name leaves qonsager
+    assert names["report"].result == "zero"
+    check = names["cross_check_routes"](8)
+    assert check.equal and check.checked_entries == 16
+    assert names["normal_form"](names["x"]) == names["power_astar_expansion"](6)
+    assert names["check_realization"](names["real"])
+
+
 def test_coeffs_json_schema(capsys):
     code, out, _ = run(capsys, "coeffs", "--r", "2", "--route", "genfun",
                        "--format", "json")
@@ -283,6 +296,25 @@ def test_a_reader_that_leaves_early_ends_the_run_quietly():
     proc.stderr.close()
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_failed_write_exits_2_with_one_error_line(capsys):
+    # every write to /dev/full fails with ENOSPC, at the write, the flush or
+    # the close that ends --out
+    for argv in (("coeffs", "--r", "3"), ("verify", "--r-max", "2"),
+                 ("matrix-check", "--sites", "1"), ("reduce", "A^3 A*")):
+        code, out, err = run(capsys, *argv, "--out", "/dev/full")
+        assert code == EXIT_USAGE, argv
+        assert err.startswith("error: cannot write output: ") and err.count("\n") == 1, err
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qonsager.__file__)))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "qonsager.cli", "reduce", "A^3 A*"],
+                              env=dict(os.environ, PYTHONPATH=src), stdout=full,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stderr.startswith("error: cannot write output: ")
+    assert proc.stderr.count("\n") == 1, proc.stderr
+
+
 def test_verify_small_range(capsys):
     code, out, _ = run(capsys, "verify", "--r-max", "3")
     assert code == EXIT_OK
@@ -370,6 +402,12 @@ def test_reduce_defining_monomial(capsys):
 def test_reduce_a_term_of_zeroth_powers_is_one(capsys, expression):
     # a term may be factors alone, even factors that multiply to the empty word
     assert run(capsys, "reduce", expression) == (EXIT_OK, "1\n", "")
+
+
+@pytest.mark.parametrize("expression, printed", [("2*", "2"), ("A + 3*", "3 + A")])
+def test_reduce_a_coefficient_may_end_with_its_separator(capsys, expression, printed):
+    # term := [coeff '*'?] factor*, and factor* may be empty
+    assert run(capsys, "reduce", expression) == (EXIT_OK, printed + "\n", "")
 
 
 def test_reduce_irreducible(capsys):

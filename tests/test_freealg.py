@@ -108,8 +108,9 @@ def test_parse_errors_carry_position():
     with pytest.raises(ParseError) as info:
         parse_expression("A^3 +")
     assert info.value.pos == 5
-    with pytest.raises(ParseError, match="expected a term"):
-        parse_expression("A + *")
+    for text in ("A + *", "", "A +"):
+        with pytest.raises(ParseError, match="expected a term"):
+            parse_expression(text)
     with pytest.raises(ParseError):
         parse_expression("q^^2 A")
     with pytest.raises(ParseError):

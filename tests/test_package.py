@@ -9,7 +9,7 @@ PUBLIC = [
     "A", "ASTAR", "CoeffTable", "CoidealParams", "CoidealRealization", "CrossCheckReport",
     "ETA", "EigenvalueData", "EtaTable", "ExactDivisionError", "ExactMatrix", "LaurentPoly",
     "NcPoly", "ParseError", "RHO0", "RHO1", "ROUTES", "Rational",
-    "RecursionTables", "ReductionTrace", "RingElement", "TridiagonalParams", "VerificationReport",
+    "ReductionTrace", "RingElement", "TridiagonalParams", "VerificationReport",
     "Word", "beta_s", "build_relation_lhs", "check_qdg", "check_realization", "closedform_table",
     "coeff_table", "coeff_tables", "coideal_generators", "cross_check_routes", "eval_ncpoly",
     "evaluation_rep", "lusztig_coeffs", "measure", "normal_form", "normal_form_with_stats",
