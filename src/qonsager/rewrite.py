@@ -48,6 +48,20 @@ shift 0, and its packing (an odd int and a shift per coefficient).
 ``normal_form``, ``trace_reduction`` and ``reduce`` use the first, the
 width bound ``_mass_bound`` the second.
 
+What is cached, and for how long.  A view's lists depend only on n and
+the number of A*'s in ``post``, and the memo only on the rule, so
+``_POW_NF``, the ring view ``_RING_VIEW`` and the l1 view ``_L1_VIEW`` live
+for the whole process; the packed view depends on K and lives for one call.
+Within one pass ``_normalize`` keeps a move table: the first time a rest
+(a word of a prefix class, after the prefix) is popped, under any prefix,
+its moves are read from the view and kept, and every later pop of that rest
+only multiplies, shifts and adds.  The relation makes 5 400 replacements
+of 366 distinct rests at r = 6, and 20 793 of 595 at r = 7.  The moves
+depend on the rest and the view only, so reusing them changes no step,
+count or sum.  ``_mass_bound`` keeps U (step 2 below) per rest for the
+whole process in ``_MASS``: U(rest) is defined by the rest and the
+rule-only memo alone, never by the input that reaches it.
+
 Packed graded coefficients.  Give A and A* degree 1 and rho0 degree 2;
 the rule is homogeneous and its coefficients have even q-exponents.  So on
 one graded component (one total degree, no rho1, even q-exponents only) the
@@ -57,11 +71,11 @@ polynomial in X = q^2.  ``normal_form_with_stats`` packs such input:
 1. the coefficient of word w is scaled by X^(-inv(w)) (inv from
    ``measure``), and all of them by one global X^G that leaves no negative
    exponent;
-2. a path-mass bound B, computed once per distinct rest, without a
-   reduction pass.  Split each word into its normal prefix (empty, or
-   ending in A*; the whole word when it is normal) and its rest, which is
-   empty or starts with its first block A^n A*, n >= 3.  Then U("") = 1,
-   and U(A^n A* post) is the largest over j in {0, 1, 2} of the sum of
+2. a path-mass bound B, without a reduction pass, with U computed once
+   per distinct rest and process.  Split each word into its normal prefix
+   (empty, or ending in A*; the whole word when it is normal) and its rest,
+   which is empty or starts with its first block A^n A*, n >= 3.  Then
+   U("") = 1, and U(A^n A* post) is the largest over j in {0, 1, 2} of the sum of
    l1 * U(rest of tail post) over the entries (j, tail, l1) of the l1 view
    at (n, post).  With the weight of a prefix P the sum of ||c_w||_1 U(rest
    of w) over the input words w with prefix P, B is the largest sum of
@@ -257,6 +271,12 @@ def _l1_norm(c: RingElement) -> int:
     return sum(abs(v) for p in c.terms.values() for v in p.terms.values())
 
 
+# one l1 view and one U memo (``_mass_bound``) per process, beside _RING_VIEW
+# and _POW_NF: U(rest) depends only on the rest and on the rule-only memo
+_L1_VIEW = _view(lambda n, mw, c: (_l1_norm(c), 0, 0))
+_MASS: dict[str, int] = {"": 1}
+
+
 def _packed_view(width: int):
     """Memo view at X = 2^width: the coefficient of mw times
     X^(inv(A^n A*) - inv(mw)), shifted by width * (n - a(mw)) * s(post), as
@@ -303,6 +323,9 @@ class ReductionTrace:
     majorant_bits: int = 0
 
     def lines(self):
+        if self.steps is None:
+            raise ValueError("this trace counts replacements but keeps no steps; "
+                             "trace_reduction(x) keeps them")
         return [f"{word_string(w)} -> {k} terms @pos {p}" for (w, p, k) in self.steps]
 
 
@@ -321,10 +344,16 @@ def _normalize(terms: dict, expand=_RING_VIEW, record: ReductionTrace | None = N
     and only one root-to-leaf path of classes (with the siblings still to
     come) is alive.  ``live`` counts the terms held in ``result`` and in the
     classes popped or pending.
+
+    ``table`` maps each rest popped so far in this pass to its moves
+    (j, rest after the move, whether that is reducible, multiplier, shift),
+    the multiplier None for the direct move; they depend on the rest and
+    ``expand`` only, so later pops of the rest reuse them unchanged.
     """
     result = {w: c for w, c in terms.items() if _REDEX not in w}
     stack = [("", {w: c for w, c in terms.items() if _REDEX in w})]
     live = len(terms)
+    table: dict[str, list] = {}
     if record is not None:
         record.peak_term_count = max(record.peak_term_count, live)
 
@@ -333,15 +362,26 @@ def _normalize(terms: dict, expand=_RING_VIEW, record: ReductionTrace | None = N
         prefixes = (prefix + GEN_ASTAR, prefix + GEN_A + GEN_ASTAR, prefix + GEN_A * 2 + GEN_ASTAR)
         kids = ({}, {}, {})
         for w, c in rests.items():
-            n = w.index(GEN_ASTAR)
-            post = w[n + 1:]
-            if n < 3:
-                moves = ((n, post, c),)
-            else:
-                moves = [(j, tail + post, (c * v) << shift if shift else c * v)
-                         for j, tail, v, shift in expand(n, post)]
-            for j, rest, p in moves:
-                if _REDEX in rest:
+            moves = table.get(w)
+            if moves is None:
+                n = w.index(GEN_ASTAR)
+                post = w[n + 1:]
+                if n < 3:
+                    moves = [(n, post, _REDEX in post, None, 0)]
+                else:
+                    moves = []
+                    for j, tail, v, shift in expand(n, post):
+                        rest = tail + post
+                        moves.append((j, rest, _REDEX in rest, v, shift))
+                table[w] = moves
+            for j, rest, reducible, v, shift in moves:
+                if v is None:
+                    p = c
+                elif shift:
+                    p = (c * v) << shift
+                else:
+                    p = c * v
+                if reducible:
                     dest = kids[j]
                 else:
                     dest, rest = result, prefixes[j] + rest
@@ -357,7 +397,7 @@ def _normalize(terms: dict, expand=_RING_VIEW, record: ReductionTrace | None = N
                         del dest[rest]
                         live -= 1
             if record is not None:
-                if n >= 3:
+                if moves[0][3] is not None:  # a block replacement, not the direct move
                     record.replacements += 1
                     if record.steps is not None:
                         record.steps.append((prefix + w, len(prefix), len(moves)))
@@ -408,9 +448,10 @@ def _mass_bound(terms: dict) -> int:
     """The bound B of step 2 of the module docstring for terms {w: int >= 0}:
     U on the l1 memo view, memoized per distinct rest and evaluated with an
     explicit stack (A^3 A*^m is a chain m rests deep), then the largest
-    weight sum along a chain of prefixes."""
-    view = _view(lambda n, mw, c: (_l1_norm(c), 0, 0))
-    mass = {"": 1}
+    weight sum along a chain of prefixes.  The view and the U memo are the
+    process-wide ``_L1_VIEW`` and ``_MASS``, so a rest's U is computed once
+    per process, whatever input reaches it."""
+    mass = _MASS
     rests = {w: _block_rest(w) for w in terms}
     stack = list(rests.values())
     while stack:
@@ -420,7 +461,7 @@ def _mass_bound(terms: dict) -> int:
             continue
         n = rest.index(GEN_ASTAR)
         post = rest[n + 1:]
-        kids = [(j, v, _block_rest(tail + post)) for j, tail, v, _ in view(n, post)]
+        kids = [(j, v, _block_rest(tail + post)) for j, tail, v, _ in _L1_VIEW(n, post)]
         todo = [k for _, _, k in kids if k not in mass]
         if todo:
             stack += todo

@@ -403,15 +403,57 @@ def test_packed_multipliers_are_odd_mantissas_of_the_shifted_heads(width):
                 assert v << shift == head << (width * (n - mw.count("a")) * s), (n, s, mw)
 
 
+def cold_mass_memo(monkeypatch):
+    """Give ``_mass_bound`` a fresh l1 view, built as ``rewrite`` builds its
+    own, and an empty U memo, until the test ends."""
+    monkeypatch.setattr(rewrite, "_L1_VIEW",
+                        rewrite._view(lambda n, mw, c: (rewrite._l1_norm(c), 0, 0)))
+    monkeypatch.setattr(rewrite, "_MASS", {"": 1})
+
+
 def test_too_narrow_width_raises(monkeypatch):
     # with every memo coefficient's l1 norm understated as 1 the mass bound
     # counts paths, so K comes out 24 instead of the proved 40, and the
-    # residual coefficients of this table overflow their slots
+    # residual coefficients of this table overflow their slots; the view and
+    # the U memo are process-wide, so both restart under the understated norm
     x = build_relation_lhs(sabotaged_table(5, 0, 0, 1))
     assert normal_form_with_stats(x)[1].width_bits == 40
     monkeypatch.setattr(rewrite, "_l1_norm", lambda c: 1)
+    cold_mass_memo(monkeypatch)
     with pytest.raises(AssertionError, match="packed digit reaches"):
         normal_form_with_stats(x)
+
+
+def test_cold_and_warm_mass_memo_agree(monkeypatch):
+    # U(rest) depends only on the rest and the rule-only memo, so whichever
+    # inputs warmed the process-wide memo, every result and count is the same
+    inputs = [build_relation_lhs(coeff_table(r, "genfun")) for r in range(1, 7)]
+    inputs += [build_relation_lhs(sabotaged_table(*s)) for s in seeded_sabotages()[:3]]
+
+    def run(x):
+        nf, stats = normal_form_with_stats(x)
+        return (nf, stats.width_bits, stats.majorant_bits, stats.replacements,
+                stats.peak_term_count)
+
+    cold = []
+    for x in inputs:
+        cold_mass_memo(monkeypatch)
+        cold.append(run(x))
+    cold_mass_memo(monkeypatch)
+    assert [run(x) for x in inputs] == cold
+    cold_mass_memo(monkeypatch)
+    assert [run(x) for x in reversed(inputs)] == cold[::-1]
+    assert len(rewrite._MASS) > 1
+    assert [c[1] for c in cold[:6]] == [6, 11, 19, 29, 40, 52]
+
+
+def test_counting_trace_keeps_no_lines():
+    x = parse_expression("A^3 A*")
+    _, stats = normal_form_with_stats(x)
+    assert stats.steps is None and stats.replacements == 1
+    with pytest.raises(ValueError, match="trace_reduction"):
+        stats.lines()
+    assert trace_reduction(x).lines() == ["A^3 A* -> 5 terms @pos 0"]
 
 
 def test_too_narrow_width_raises_under_optimized_mode():
