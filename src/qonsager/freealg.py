@@ -14,8 +14,10 @@ engine: graded lexicographic with A < A* ('a' < 's' in ASCII, so the plain
 from __future__ import annotations
 
 import operator
+import re
 
 from .exactring import LaurentPoly, RingElement, SparseSum, signed_join
+from .qnumbers import qint  # qnumbers imports exactring only
 
 Word = str
 
@@ -121,10 +123,18 @@ def _term_string(w: Word, c: RingElement):
 # coeff  := atom ('*' atom)*
 # atom   := uint | 'q' ['^' sint] | 'rho0' ['^' uint] | 'rho1' ['^' uint]
 #         | '[' uint ']_q' ['^' uint] | '(' expr-of-atoms ')' ['^' uint]
+# sint   := ['-'] uint
+# uint   := [0-9]+   (at most 10^6, or at most 1233 digits as an atom)
 #
-# A '*' immediately after 'A' is the star of the generator; multiplication
-# between scalar atoms is written '*', factors are separated by whitespace.
+# The text is read as one stream of tokens, each a run of ASCII digits, 'A*'
+# with no space inside, 'rho0', 'rho1', ']_q' or any other single
+# non-whitespace character, and whitespace between tokens is skipped. So a
+# '*' right after 'A' is the star of the generator; multiplication between
+# scalar atoms is written '*', factors are separated by whitespace.
 # ---------------------------------------------------------------------------
+
+_TOKEN = re.compile(r"\s*([0-9]+|A\*|rho[01]|\]_q|\S)")
+_FACTORS = ("A", "A*")
 
 
 class ParseError(ValueError):
@@ -133,65 +143,40 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self.skip_ws()
-        if self.pos >= len(self.text):
-            return ""
-        return self.text[self.pos]
-
-    def peek_raw(self):
-        if self.pos >= len(self.text):
-            return ""
-        return self.text[self.pos]
-
-    def startswith(self, s: str) -> bool:
-        self.skip_ws()
-        return self.text.startswith(s, self.pos)
-
-    def take(self, s: str) -> bool:
-        if self.startswith(s):
-            self.pos += len(s)
-            return True
-        return False
-
-    def expect(self, s: str):
-        if not self.take(s):
-            raise ParseError(f"expected {s!r}", self.pos)
-
-    def read_uint(self, limit=_MAX_EXPONENT) -> int:
-        """An unsigned integer of at most ``limit``, or of at most
-        _MAX_LITERAL_DIGITS digits for a coefficient (limit None)."""
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError("expected an integer", start)
-        if limit is None and self.pos - start > _MAX_LITERAL_DIGITS:
-            raise ParseError(f"integer longer than {_MAX_LITERAL_DIGITS} digits", start)
-        n = int(self.text[start:self.pos])
-        if limit is not None and n > limit:
-            raise ParseError("exponent overflow", start)
-        return n
-
-    def read_sint(self) -> int:
-        self.skip_ws()
-        sign = -1 if self.take("-") else 1
-        return sign * self.read_uint()
+def _is_uint(tok: str) -> bool:
+    return "0" <= tok[:1] <= "9"
 
 
-def _parse_exponent(sc: _Scanner, default: int = 1) -> int:
-    if sc.take("^"):
-        return sc.read_uint()
+def _starts_coeff(tok: str) -> bool:
+    return tok in ("q", "(", "[", "rho0", "rho1") or _is_uint(tok)
+
+
+def _expect(tokens, s: str) -> int:
+    """Take the token ``s`` and return the position just after it."""
+    tok, pos = tokens[-1]
+    if tok != s:
+        raise ParseError(f"expected {s!r}", pos)
+    tokens.pop()
+    return pos + len(s)
+
+
+def _parse_uint(tokens) -> int:
+    """An unsigned integer of at most _MAX_EXPONENT."""
+    tok, pos = tokens[-1]
+    if not _is_uint(tok):
+        raise ParseError("expected an integer", pos)
+    tokens.pop()
+    digits = tok.lstrip("0") or "0"
+    # count the digits first: int() refuses more than 4300 of them
+    if len(digits) > len(str(_MAX_EXPONENT)) or int(digits) > _MAX_EXPONENT:
+        raise ParseError("exponent overflow", pos)
+    return int(digits)
+
+
+def _parse_exponent(tokens, default: int = 1) -> int:
+    if tokens[-1][0] == "^":
+        tokens.pop()
+        return _parse_uint(tokens)
     return default
 
 
@@ -216,116 +201,103 @@ def _check_size(size, pos: int):
         raise ParseError(f"scalar with room for a coefficient above 2^{_MAX_COEFF_BITS}", pos)
 
 
-def _parse_power(sc: _Scanner, value: RingElement) -> RingElement:
-    pos = sc.pos
-    n = _parse_exponent(sc)
+def _parse_power(tokens, value: RingElement, pos: int) -> RingElement:
+    n = _parse_exponent(tokens)
     _check_size([n * s for s in _size(value)], pos)
     return value ** n
 
 
-def _parse_atom(sc: _Scanner) -> RingElement:
-    from .qnumbers import qint  # deferred: qnumbers imports exactring only
-
-    ch = sc.peek()
-    if ch.isdigit():
-        return RingElement.from_int(sc.read_uint(limit=None))
-    if sc.startswith("rho0"):
-        sc.take("rho0")
-        return RingElement.rho0(_parse_exponent(sc))
-    if sc.startswith("rho1"):
-        sc.take("rho1")
-        return RingElement.rho1(_parse_exponent(sc))
-    if ch == "q":
-        sc.take("q")
+def _parse_atom(tokens) -> RingElement:
+    tok, pos = tokens[-1]
+    if _is_uint(tok):
+        tokens.pop()
+        if len(tok) > _MAX_LITERAL_DIGITS:
+            raise ParseError(f"integer longer than {_MAX_LITERAL_DIGITS} digits", pos)
+        return RingElement.from_int(int(tok))
+    if tok in ("rho0", "rho1"):
+        tokens.pop()
+        power = RingElement.rho0 if tok == "rho0" else RingElement.rho1
+        return power(_parse_exponent(tokens))
+    if tok == "q":
+        tokens.pop()
         e = 1
-        if sc.take("^"):
-            e = sc.read_sint()
+        if tokens[-1][0] == "^":
+            tokens.pop()
+            sign = 1
+            if tokens[-1][0] == "-":
+                tokens.pop()
+                sign = -1
+            e = sign * _parse_uint(tokens)
         return RingElement.from_laurent(LaurentPoly.q_power(e))
-    if ch == "[":
-        sc.take("[")
-        n = sc.read_uint()
-        sc.expect("]_q")
+    if tok == "[":
+        tokens.pop()
+        n = _parse_uint(tokens)
+        end = _expect(tokens, "]_q")
         # [n]_q is dense, so its spans count its terms even at power 1
-        return _parse_power(sc, RingElement.from_laurent(qint(n)))
-    if ch == "(":
-        sc.take("(")
-        value = _parse_scalar_sum(sc)
-        sc.expect(")")
+        return _parse_power(tokens, RingElement.from_laurent(qint(n)), end)
+    if tok == "(":
+        tokens.pop()
+        value = _parse_sum(tokens, _parse_scalar_product)
+        _expect(tokens, ")")
         # a sum has no more terms than its input, so only its powers are checked
-        return _parse_power(sc, value) if sc.startswith("^") else value
-    raise ParseError("expected a scalar atom", sc.pos)
+        tok, pos = tokens[-1]
+        return _parse_power(tokens, value, pos) if tok == "^" else value
+    raise ParseError("expected a scalar atom", pos)
 
 
-def _parse_scalar_product(sc: _Scanner) -> RingElement:
-    value = _parse_atom(sc)
-    while sc.peek() == "*":
-        mark = sc.pos
-        sc.take("*")
-        if not _starts_coeff(sc):
-            sc.pos = mark  # the '*' was the optional coeff/word separator
-            break
-        factor = _parse_atom(sc)
-        _check_size([a + b for a, b in zip(_size(value), _size(factor))], mark)
+def _parse_scalar_product(tokens) -> RingElement:
+    value = _parse_atom(tokens)
+    # a '*' before a token that cannot start an atom is the optional
+    # coeff/word separator, left for _parse_term
+    while tokens[-1][0] == "*" and _starts_coeff(tokens[-2][0]):
+        pos = tokens.pop()[1]
+        factor = _parse_atom(tokens)
+        _check_size([a + b for a, b in zip(_size(value), _size(factor))], pos)
         value = value * factor
     return value
 
 
-def _parse_scalar_sum(sc: _Scanner) -> RingElement:
-    value = -_parse_scalar_product(sc) if sc.take("-") else _parse_scalar_product(sc)
-    while True:
-        if sc.take("+"):
-            value = value + _parse_scalar_product(sc)
-        elif sc.peek() == "-":
-            sc.take("-")
-            value = value - _parse_scalar_product(sc)
-        else:
-            return value
-
-
-def _starts_coeff(sc: _Scanner) -> bool:
-    ch = sc.peek()  # "" at the end of the input, which "q([" contains
-    return ch != "" and (ch.isdigit() or ch in "q([" or sc.startswith("rho0")
-                         or sc.startswith("rho1"))
-
-
-def _parse_factors(sc: _Scanner) -> Word:
-    w = ""
-    while sc.peek() == "A":
-        start = sc.pos
-        sc.take("A")
-        # '*' immediately after 'A' (no whitespace) is the star
-        letter = GEN_ASTAR if sc.peek_raw() == "*" else GEN_A
-        if letter == GEN_ASTAR:
-            sc.pos += 1
-        w += letter * _parse_exponent(sc)
-        if len(w) > _MAX_WORD_LETTERS:
-            raise ParseError(f"word longer than {_MAX_WORD_LETTERS} letters", start)
-    return w
-
-
-def _parse_term(sc: _Scanner) -> NcPoly:
+def _parse_term(tokens) -> NcPoly:
     # a coeff or a factor, which may be A^0, the empty word
     coeff = RingElement.one()
-    if _starts_coeff(sc):
-        coeff = _parse_scalar_product(sc)
-        sc.take("*")
-    elif sc.peek() != "A":
-        raise ParseError("expected a term", sc.pos)
-    return NcPoly({_parse_factors(sc): coeff})
+    tok, pos = tokens[-1]
+    if _starts_coeff(tok):
+        coeff = _parse_scalar_product(tokens)
+        if tokens[-1][0] == "*":
+            tokens.pop()
+    elif tok not in _FACTORS:
+        raise ParseError("expected a term", pos)
+    w = ""
+    while tokens[-1][0] in _FACTORS:
+        tok, pos = tokens.pop()
+        w += (GEN_A if tok == "A" else GEN_ASTAR) * _parse_exponent(tokens)
+        if len(w) > _MAX_WORD_LETTERS:
+            raise ParseError(f"word longer than {_MAX_WORD_LETTERS} letters", pos)
+    return NcPoly({w: coeff})
+
+
+def _parse_sum(tokens, part):
+    """part (('+'|'-') part)*, after an optional '-'."""
+    if tokens[-1][0] == "-":
+        tokens.pop()
+        value = -part(tokens)
+    else:
+        value = part(tokens)
+    while tokens[-1][0] in ("+", "-"):
+        if tokens.pop()[0] == "+":
+            value = value + part(tokens)
+        else:
+            value = value - part(tokens)
+    return value
 
 
 def parse_expression(text: str) -> NcPoly:
     """Parse an expression in the grammar above into an NcPoly."""
-    sc = _Scanner(text)
-    result = -_parse_term(sc) if sc.take("-") else _parse_term(sc)
-    while True:
-        if sc.take("+"):
-            result = result + _parse_term(sc)
-        elif sc.take("-"):
-            result = result - _parse_term(sc)
-        else:
-            break
-    sc.skip_ws()
-    if sc.pos != len(sc.text):
-        raise ParseError("trailing input", sc.pos)
+    # (token, position) pairs, last token first, above an end marker
+    tokens = [("", len(text))]
+    tokens += reversed([(m[1], m.start(1)) for m in _TOKEN.finditer(text)])
+    result = _parse_sum(tokens, _parse_term)
+    tok, pos = tokens[-1]
+    if tok:
+        raise ParseError("trailing input", pos)
     return result

@@ -117,6 +117,65 @@ def test_parse_errors_carry_position():
         parse_expression("A^9999999")  # exponent overflow
 
 
+@pytest.mark.parametrize("text, message", [
+    ("A +", "expected a term (position 3)"),
+    ("(A) A", "expected a scalar atom (position 1)"),
+    ("[3] A", "expected ']_q' (position 2)"),
+    ("(1 A", "expected ')' (position 3)"),
+    ("A^x", "expected an integer (position 2)"),
+    ("A^ 1000001", "exponent overflow (position 3)"),
+    ("9" * 1234 + " A", "integer longer than 1233 digits (position 0)"),
+    ("A^100 A^29", "word longer than 128 letters (position 6)"),
+    # a size error on a power of a sum is reported at its '^', one on [n]_q
+    # (checked at power 1 too) at the end of ']_q'
+    ("(1+q) ^1000 A", "scalar with room for more than 1000 terms (position 6)"),
+    ("[30]_q ^400 A", "scalar with room for more than 1000 terms (position 6)"),
+    ("[501]_q A", "scalar with room for more than 1000 terms (position 7)"),
+    # and one on a product at its '*'
+    ("(2)^2048 *(2)^2049 A", "scalar with room for a coefficient above 2^4096 (position 9)"),
+    ("A )", "trailing input (position 2)"),
+    # integers are ASCII digits only
+    ("²", "expected a term (position 0)"),
+    ("١٢ A", "expected a term (position 0)"),
+    ("[³]_q A", "expected an integer (position 1)"),
+    ("A^٣ A*", "expected an integer (position 2)"),
+    # an exponent's digits are counted before it is converted
+    ("A^" + "9" * 5000, "exponent overflow (position 2)"),
+    ("q^-" + "0" * 4000 + "1" + "0" * 1000 + " A", "exponent overflow (position 3)"),
+], ids=lambda v: v[:16])
+def test_parse_error_messages(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_expression(text)
+    assert str(info.value) == message
+
+
+def test_parse_strips_leading_zeros_of_an_exponent():
+    assert parse_expression("A^" + "0" * 5000 + "1") == A
+    assert parse_expression("[" + "0" * 5000 + "3]_q A") == A * qint(3)
+    assert parse_expression("q^-0001000000 A") == A * LaurentPoly.q_power(-1000000)
+
+
+_FUZZ_TOKENS = ("A", "A*", "A", "A*", "q", "rho0", "rho1", "[", "]_q", "(", ")", "^", "^",
+                "-", "+", "*", "0", "1", "2", "3", "12", "007", "²", "١",
+                "9" * 5000, "0" * 5000 + "1")
+_FUZZ_GAPS = ("", "", "", " ", "\t")
+
+
+def test_only_parse_errors_escape_the_parser():
+    rng = random.Random(24)
+    parsed = 0
+    for _ in range(20000):
+        text = "".join(rng.choice(_FUZZ_GAPS) + rng.choice(_FUZZ_TOKENS)
+                       for _ in range(rng.randint(1, 8)))
+        try:
+            value = parse_expression(text)
+        except ParseError:
+            continue
+        assert parse_expression(value.to_string()) == value, text
+        parsed += 1
+    assert parsed > 1000
+
+
 def test_parse_caps_the_letters_of_a_word():
     # the cap counts every factor of a term, not each exponent on its own
     assert len(next(iter(parse_expression("A^127 A*").terms))) == 128
