@@ -30,14 +30,15 @@ _MAX_EXPONENT = 10 ** 6
 _MAX_WORD_LETTERS = 128  # per term, over all factors: NF(A^n A*) costs about n^3 memory
 # A scalar product or power in the input may have at most this many terms, as
 # bounded by the box of its q, rho0 and rho1 exponents (each span + 1,
-# multiplied); spans add under products, and (1+q)^4000 alone took 14 s on a
-# 2-vCPU AMD EPYC host.
+# multiplied); exponent ranges add under products, and (1+q)^4000 alone took
+# 14 s on a 2-vCPU AMD EPYC host.
 _MAX_SCALAR_TERMS = 1000
-# Parsed integer coefficients stay at most 2^4096 (literals: 1233 digits); the
+# Parsed integer coefficients, literals and computed products alike, stay at
+# most 2^4096, so a parsed product prints as text that parses back; the
 # reduction adds 119 bits to NF(A^127 A*) and 177 to NF((A^40 A*)^3), far below
 # the about 14 000 bits of Python's 4300-digit limit on printing an int.
 _MAX_COEFF_BITS = 4096
-_MAX_LITERAL_DIGITS = len(str(2 ** _MAX_COEFF_BITS)) - 1
+_MAX_LITERAL_DIGITS = len(str(2 ** _MAX_COEFF_BITS))
 
 
 def word_key(w: Word):
@@ -124,7 +125,7 @@ def _term_string(w: Word, c: RingElement):
 # atom   := uint | 'q' ['^' sint] | 'rho0' ['^' uint] | 'rho1' ['^' uint]
 #         | '[' uint ']_q' ['^' uint] | '(' expr-of-atoms ')' ['^' uint]
 # sint   := ['-'] uint
-# uint   := [0-9]+   (at most 10^6, or at most 1233 digits as an atom)
+# uint   := [0-9]+   (at most 10^6, or at most 2^4096 as an atom)
 #
 # The text is read as one stream of tokens, each a run of ASCII digits, 'A*'
 # with no space inside, 'rho0', 'rho1', ']_q' or any other single
@@ -181,39 +182,47 @@ def _parse_exponent(tokens, default: int = 1) -> int:
 
 
 def _size(x: RingElement):
-    """(q, rho0, rho1, bits): the exponent spans (largest minus smallest) and
-    ceil(log2) of the sum of |coefficient|; each is at most additive under products."""
+    """(q, rho0, rho1 exponent ranges as least, greatest; bits): bits is
+    ceil(log2) of the sum of |coefficient|.  The ranges add exactly under
+    products, the bits at most additively."""
     if not x:
-        return (0, 0, 0, 0)
+        return (0,) * 7
     qs = [e for p in x.terms.values() for e in p.terms]
     e0s, e1s = zip(*x.terms)
     norm = sum(abs(c) for p in x.terms.values() for c in p.terms.values())
-    return (*(max(v) - min(v) for v in (qs, e0s, e1s)), (norm - 1).bit_length())
+    return (*(f(v) for v in (qs, e0s, e1s) for f in (min, max)), (norm - 1).bit_length())
 
 
 def _check_size(size, pos: int):
     """Reject a scalar, before it is computed, whose size leaves room for more
-    than _MAX_SCALAR_TERMS terms or a coefficient above 2^_MAX_COEFF_BITS."""
-    q, e0, e1, bits = size
-    if (q + 1) * (e0 + 1) * (e1 + 1) > _MAX_SCALAR_TERMS:
+    than _MAX_SCALAR_TERMS terms or a coefficient above 2^_MAX_COEFF_BITS, or
+    that has an exponent beyond _MAX_EXPONENT."""
+    q0, q1, a0, a1, b0, b1, bits = size
+    if (q1 - q0 + 1) * (a1 - a0 + 1) * (b1 - b0 + 1) > _MAX_SCALAR_TERMS:
         raise ParseError(f"scalar with room for more than {_MAX_SCALAR_TERMS} terms", pos)
     if bits > _MAX_COEFF_BITS:
         raise ParseError(f"scalar with room for a coefficient above 2^{_MAX_COEFF_BITS}", pos)
+    if max(-q0, q1, a1, b1) > _MAX_EXPONENT:
+        raise ParseError("exponent overflow", pos)
 
 
-def _parse_power(tokens, value: RingElement, pos: int) -> RingElement:
+def _parse_power(tokens, size, pos: int) -> int:
+    """The exponent n of a power, once the size of the power is checked."""
     n = _parse_exponent(tokens)
-    _check_size([n * s for s in _size(value)], pos)
-    return value ** n
+    _check_size([n * x for x in size], pos)
+    return n
 
 
 def _parse_atom(tokens) -> RingElement:
     tok, pos = tokens[-1]
     if _is_uint(tok):
         tokens.pop()
+        # count the digits first: int() refuses more than 4300 of them
         if len(tok) > _MAX_LITERAL_DIGITS:
             raise ParseError(f"integer longer than {_MAX_LITERAL_DIGITS} digits", pos)
-        return RingElement.from_int(int(tok))
+        value = RingElement.from_int(int(tok))
+        _check_size(_size(value), pos)
+        return value
     if tok in ("rho0", "rho1"):
         tokens.pop()
         power = RingElement.rho0 if tok == "rho0" else RingElement.rho1
@@ -233,15 +242,18 @@ def _parse_atom(tokens) -> RingElement:
         tokens.pop()
         n = _parse_uint(tokens)
         end = _expect(tokens, "]_q")
-        # [n]_q is dense, so its spans count its terms even at power 1
-        return _parse_power(tokens, RingElement.from_laurent(qint(n)), end)
+        # [n]_q is dense, so its size counts its terms even at power 1; it is
+        # q^-m + ... + q^m with m = n - 1 and coefficient sum n, known from n
+        m = max(n - 1, 0)
+        k = _parse_power(tokens, (-m, m, 0, 0, 0, 0, m.bit_length()), end)
+        return RingElement.from_laurent(qint(n) ** k)
     if tok == "(":
         tokens.pop()
         value = _parse_sum(tokens, _parse_scalar_product)
         _expect(tokens, ")")
         # a sum has no more terms than its input, so only its powers are checked
         tok, pos = tokens[-1]
-        return _parse_power(tokens, value, pos) if tok == "^" else value
+        return value ** _parse_power(tokens, _size(value), pos) if tok == "^" else value
     raise ParseError("expected a scalar atom", pos)
 
 

@@ -106,24 +106,6 @@ class ExactMatrix:
         return ExactMatrix([[a * b if a and b else _ZERO for a in srow for b in orow]
                             for srow in self.rows for orow in other.rows])
 
-    def inverse(self) -> "ExactMatrix":
-        """Gauss-Jordan inverse; dimensions here never exceed 8."""
-        n = self.n
-        aug = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-               for i, row in enumerate(self.rows)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-            if pivot is None:
-                raise ZeroDivisionError("matrix is singular")
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            inv = 1 / aug[col][col]
-            aug[col] = [x * inv for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col] != 0:
-                    factor = aug[r][col]
-                    aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-        return ExactMatrix([row[n:] for row in aug])
-
     def _match(self, other):
         if not isinstance(other, ExactMatrix) or other.n != self.n:
             raise ValueError("matrix dimensions must agree")
@@ -162,15 +144,16 @@ def evaluation_rep(v: Rational, t: Rational) -> dict:
 
 def _combine(left: dict, site: dict) -> dict:
     """One coproduct step: Delta(e) = e x 1 + q^h x e, Delta(f) = f x q^{-h} + 1 x f,
-    grouplike on the half-weights."""
+    grouplike on the half-weights.  An evaluation site has level zero
+    (k0h = k1h^{-1}), so its q^{-h_i} is its other half-weight squared."""
     out = {}
     nl = left["e1"].n
     ns = site["e1"].n
     il = ExactMatrix.identity(nl)
     i_s = ExactMatrix.identity(ns)
-    for i in ("0", "1"):
+    for i, j in (("0", "1"), ("1", "0")):
         kl = left[f"k{i}h"] * left[f"k{i}h"]
-        ks_inv = (site[f"k{i}h"] * site[f"k{i}h"]).inverse()
+        ks_inv = site[f"k{j}h"] * site[f"k{j}h"]
         out[f"e{i}"] = left[f"e{i}"].kron(i_s) + kl.kron(site[f"e{i}"])
         out[f"f{i}"] = left[f"f{i}"].kron(ks_inv) + il.kron(site[f"f{i}"])
         out[f"k{i}h"] = left[f"k{i}h"].kron(site[f"k{i}h"])

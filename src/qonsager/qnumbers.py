@@ -5,8 +5,8 @@ are products of these, and q-binomials come from the q-Pascal rule, one row
 per n, each row built once per process.  The exact division of q-factorials
 stays available as an independent check (``qfactorial``).
 
-The ``base`` argument of ``qint`` and ``qfactorial`` replaces q by q^base;
-the coefficient formulas live almost entirely in base 2 (q^2).
+The ``base`` argument of ``qint`` replaces q by q^base; the coefficient
+formulas live almost entirely in base 2 (q^2).
 """
 
 from __future__ import annotations
@@ -26,12 +26,12 @@ def qint(n: int, base: int = 1) -> LaurentPoly:
     return LaurentPoly({base * (n - 1 - 2 * k): 1 for k in range(n)})
 
 
-def qfactorial(n: int, base: int = 1) -> LaurentPoly:
+def qfactorial(n: int) -> LaurentPoly:
     if n < 0:
         raise ValueError("q-factorial undefined for negative n")
     out = LaurentPoly.one()
     for k in range(2, n + 1):
-        out = out * qint(k, base)
+        out = out * qint(k)
     return out
 
 
@@ -104,10 +104,15 @@ def _pair_residual(p: TridiagonalParams, ti: Fraction, tj: Fraction) -> Fraction
 def tridiagonal_parameters(s: int, data: EigenvalueData) -> TridiagonalParams:
     """Determine (beta_s, gamma_s, delta_s) for the eigenvalue grid.
 
-    alpha = 0 uses the closed reduced-case forms.  Otherwise gamma_s, delta_s
-    are solved from the linear system given by two eigenvalue pairs; no closed
-    form is assumed.  Either way the defining vanishing is then checked on
-    every pair at distance s -- that check IS the contract.
+    One closed form for every alpha: beta_s = q^{2s} + q^{-2s},
+    gamma_s = alpha (2 - beta_s) and
+    delta_s = -alpha^2 (2 - beta_s) - bc (q^{2s} - q^{-2s})^2, because
+    u = theta - alpha satisfies u_i^2 - beta_s u_i u_j + u_j^2 =
+    -bc (q^{2s} - q^{-2s})^2 for j = i + s.  The defining vanishing is then
+    checked on every pair at distance s -- that check IS the contract.  A
+    diameter d = s has one pair, and it is checked like any other; where all
+    pair sums coincide the grid leaves gamma_s free, and this returns the
+    canonical alpha (2 - beta_s).
     """
     if s < 1:
         raise ValueError("step must be positive")
@@ -115,30 +120,8 @@ def tridiagonal_parameters(s: int, data: EigenvalueData) -> TridiagonalParams:
         raise ValueError(f"diameter {data.d} has no eigenvalue pair at distance {s}")
     q = data.q_val
     beta = q ** (2 * s) + q ** (-2 * s)
-    if data.alpha == 0:
-        gamma = Fraction(0)
-        delta = -data.b * data.c * (q ** (2 * s) - q ** (-2 * s)) ** 2
-    else:
-        pairs = [(data.theta(i), data.theta(i + s)) for i in range(data.d - s + 1)]
-        if len(pairs) < 2:
-            raise ValueError(
-                f"alpha != 0 needs two pairs at distance {s} (diameter >= {s + 1})")
-        system = None
-        (t0, u0) = pairs[0]
-        rhs0 = t0 * t0 - beta * t0 * u0 + u0 * u0
-        for (t1, u1) in pairs[1:]:
-            det = (t0 + u0) - (t1 + u1)
-            if det != 0:
-                rhs1 = t1 * t1 - beta * t1 * u1 + u1 * u1
-                gamma = (rhs0 - rhs1) / det
-                delta = rhs0 - gamma * (t0 + u0)
-                system = (gamma, delta)
-                break
-        if system is None:
-            # all pair sums coincide: gamma is underdetermined, any point on
-            # the solution line does; the vanishing check below adjudicates
-            system = (Fraction(0), rhs0)
-        gamma, delta = system
+    gamma = data.alpha * (2 - beta)
+    delta = -data.alpha * gamma - data.b * data.c * (q ** (2 * s) - q ** (-2 * s)) ** 2
     params = TridiagonalParams(s=s, beta=beta, gamma=gamma, delta=delta)
     for i in range(data.d - s + 1):
         if _pair_residual(params, data.theta(i), data.theta(i + s)) != 0:

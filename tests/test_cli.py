@@ -487,7 +487,7 @@ def test_reduce_reads_coefficients_without_the_exponent_cap(capsys):
     assert code == EXIT_OK
     expected = normal_form(parse_expression("A^3 A*")) * 2000000
     assert out == expected.to_string() + "\n"
-    # the largest accepted coefficients: a 1233-digit literal, 2^4096
+    # coefficients at the bound: a 1233-digit literal, 2^4096
     for text, value in (("9" * 1233, 10 ** 1233 - 1), ("(2)^4096", 2 ** 4096)):
         code, out, _ = run(capsys, "reduce", text + " A^3 A*")
         assert code == EXIT_OK

@@ -124,15 +124,21 @@ def test_parse_errors_carry_position():
     ("(1 A", "expected ')' (position 3)"),
     ("A^x", "expected an integer (position 2)"),
     ("A^ 1000001", "exponent overflow (position 3)"),
-    ("9" * 1234 + " A", "integer longer than 1233 digits (position 0)"),
+    ("9" * 1235 + " A", "integer longer than 1234 digits (position 0)"),
+    ("9" * 1234 + " A", "scalar with room for a coefficient above 2^4096 (position 0)"),
     ("A^100 A^29", "word longer than 128 letters (position 6)"),
     # a size error on a power of a sum is reported at its '^', one on [n]_q
     # (checked at power 1 too) at the end of ']_q'
     ("(1+q) ^1000 A", "scalar with room for more than 1000 terms (position 6)"),
     ("[30]_q ^400 A", "scalar with room for more than 1000 terms (position 6)"),
     ("[501]_q A", "scalar with room for more than 1000 terms (position 7)"),
+    ("[1000000]_q A", "scalar with room for more than 1000 terms (position 11)"),
     # and one on a product at its '*'
     ("(2)^2048 *(2)^2049 A", "scalar with room for a coefficient above 2^4096 (position 9)"),
+    # exponents of products and powers keep the bound of a written one
+    ("q^1000000*q^1000000 A", "exponent overflow (position 9)"),
+    ("(q^1000000)^1000000 A", "exponent overflow (position 11)"),
+    ("rho0^1000000*rho0 A", "exponent overflow (position 12)"),
     ("A )", "trailing input (position 2)"),
     # integers are ASCII digits only
     ("²", "expected a term (position 0)"),
@@ -204,16 +210,18 @@ def test_parse_bounds_scalar_products_and_powers():
     parse_expression("(1+q)^500*(1+q)^499 A")
     parse_expression("(1+rho0)^9*(1+rho1)^99 A")
     parse_expression("[500]_q A")
-    # integer coefficients up to 2^4096, so literals of at most 1233 digits
+    # integer coefficients up to 2^4096, literals and computed values alike
     assert parse_expression("(2)^4096 A") == A * 2 ** 4096
     assert parse_expression("(2)^2048*(2)^2048 A") == A * 2 ** 4096
+    assert parse_expression(str(2 ** 4096) + " A") == A * 2 ** 4096
     assert parse_expression("9" * 1233 + " A") == A * (10 ** 1233 - 1)
     for text in ("(1+q)^1000 A", "(1+q)^500*(1+q)^500 A", "(1+rho0)^10*(1+rho1)^99 A",
                  "[501]_q A"):
         with pytest.raises(ParseError):
             parse_expression(text)
-    for text in ("(2)^4097 A", "(2)^2048*(2)^2049 A", "(999999)^1000000 A", "9" * 1234 + " A"):
-        with pytest.raises(ParseError, match=r"2\^4096|1233 digits"):
+    for text in ("(2)^4097 A", "(2)^2048*(2)^2049 A", "(999999)^1000000 A",
+                 str(2 ** 4096 + 1) + " A", "9" * 1235 + " A"):
+        with pytest.raises(ParseError, match=r"2\^4096|1234 digits"):
             parse_expression(text)
 
 
@@ -222,6 +230,12 @@ def test_print_parse_round_trip():
     for _ in range(100):
         x = rand_ncpoly(rng)
         assert parse_expression(x.to_string()) == x
+    # values at the exponent and integer bounds print as text that parses back
+    for text in ("(2)^4096 A", "(q^1000)^1000 A", "q^1000000*q^-1000000 A",
+                 "rho0^999999*rho0*rho1^1000000 A", "q^-1000000*rho0^1000000 A",
+                 "[500]_q A", "-(2)^2048*[2]_q^3 A*"):
+        x = parse_expression(text)
+        assert parse_expression(x.to_string()) == x, text
 
 
 def test_canonical_term_order():

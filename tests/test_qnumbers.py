@@ -131,13 +131,38 @@ def test_vanishing_on_random_rational_grid():
                         - params.gamma * (ti + tj) - params.delta) == 0
 
 
+def _residuals(params, data):
+    s = params.s
+    return [ti * ti - params.beta * ti * tj + tj * tj - params.gamma * (ti + tj) - params.delta
+            for ti, tj in ((data.theta(i), data.theta(i + s)) for i in range(data.d - s + 1))]
+
+
 def test_insufficient_diameter_errors():
     data = EigenvalueData(alpha=0, b=1, c=1, d=2, q_val=Fraction(3))
     with pytest.raises(ValueError):
         tridiagonal_parameters(3, data)
+    # alpha != 0 with d = s has one pair, which the closed form satisfies
     skew = EigenvalueData(alpha=1, b=1, c=1, d=2, q_val=Fraction(3))
-    with pytest.raises(ValueError):
-        tridiagonal_parameters(2, skew)  # alpha != 0 needs two pairs
+    assert _residuals(tridiagonal_parameters(2, skew), skew) == [0]
+
+
+def test_equal_pair_sums_give_the_canonical_gamma():
+    # b = c mirrors the grid, so both pairs at distance 5 have one sum and
+    # leave gamma free; the closed form returns alpha (2 - beta)
+    data = EigenvalueData(alpha=Fraction(-5, 4), b=-1, c=-1, d=6, q_val=Fraction(7, 3))
+    assert data.theta(0) + data.theta(5) == data.theta(1) + data.theta(6)
+    params = tridiagonal_parameters(5, data)
+    assert params.gamma == data.alpha * (2 - params.beta)
+    assert _residuals(params, data) == [0, 0]
+
+
+def test_every_pair_is_checked(monkeypatch):
+    data = EigenvalueData(alpha=1, b=2, c=3, d=4, q_val=Fraction(5, 2))
+    theta = EigenvalueData.theta
+    monkeypatch.setattr(EigenvalueData, "theta",
+                        lambda self, i: theta(self, i) + (i == 3))
+    with pytest.raises(ArithmeticError, match="pair"):
+        tridiagonal_parameters(1, data)
 
 
 def test_eigenvalue_data_validation():
