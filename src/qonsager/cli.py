@@ -23,6 +23,7 @@ import argparse
 import contextlib
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -49,7 +50,7 @@ EXIT_GATE = 4
 MAX_R = 20
 # The largest matrix-check --sites.  Each site doubles the dimension and costs about
 # 6x the time: in process on the same host --sites 4 / 5 / 6 --r 1 take 0.02 / 0.09 /
-# 0.55 s, and --sites 5 --r 5 0.7 s.
+# 0.55 s, and --sites 5 --r 5 0.4 s.
 MAX_SITES = 5
 
 
@@ -310,6 +311,10 @@ def build_parser() -> argparse.ArgumentParser:
                           help="override the c0*cbar0*(q+1/q)^2 identification")
     p_matrix.add_argument("--rho1", type=_fraction, default=None)
     p_matrix.add_argument("--out", default=None, metavar="PATH")
+    # A rational value may start with a minus sign (--t -3/2, --v -1,2);
+    # argparse reads only integers and decimals there as values, everything
+    # else that starts with "-" as an option.
+    p_matrix._negative_number_matcher = re.compile(r"^-\.?\d")
     p_matrix.set_defaults(func=cmd_matrix_check)
 
     p_reduce = sub.add_parser("reduce", help="normal form of an expression")

@@ -8,10 +8,12 @@ tensor product of two-dimensional evaluation modules:
 
 with rho_i = c_i cbar_i (q + q^{-1})^2.  Every entry is a Fraction; q = t^2
 so the half-weight diagonals stay rational, and ``ExactMatrix`` products skip
-the zero terms of these sparse matrices.  ``eval_ncpoly`` multiplies on
-integer matrices over one common denominator and returns the exact image:
-each word is a head times a power of its last letter, so a relation's words
-share their head and power images and cost one product per head.
+the zero terms of these sparse matrices.  ``eval_ncpoly`` returns the exact
+image from integer arithmetic in one frame: every coefficient becomes an
+integer over one denominator, read off power tables of q, rho0 and rho1.
+Each word is a head times a power of its last letter, so a relation's words
+share their head and power images and cost one product per head; suffix and
+power images are built from the nonzero entries of each generator row.
 
 Evaluation-module and coproduct conventions are pinned here and validated
 solely by the ``check_qdg`` gate: if the gate passes, the pair genuinely
@@ -253,9 +255,6 @@ _QDG_DAGGER = _QDG.dagger()
 def check_qdg(a: ExactMatrix, astar: ExactMatrix, rho0: Rational, rho1: Rational,
               q: Rational) -> bool:
     """Both defining relations hold exactly for the matrix pair."""
-    a._match(astar)
-    if Fraction(q) == 0:
-        raise ValueError("q must be nonzero")
     return all(eval_ncpoly(p, a, astar, q, rho0, rho1).is_zero()
                for p in (_QDG, _QDG_DAGGER))
 
@@ -269,59 +268,115 @@ def _int_matmul(x, y):
     return [[sum(map(operator.mul, row, col)) for col in cols] for row in x]
 
 
+def _sparse_rows(m):
+    """The nonzero entries of each row of an integer matrix, as (columns, values)."""
+    return [([k for k, e in enumerate(row) if e], [e for e in row if e]) for row in m]
+
+
+def _sparse_left(g, m):
+    """g * m, with g given by the nonzero entries of its rows (``_sparse_rows``):
+    row i of the product combines only the rows of m that row i of g selects."""
+    zero = [0] * len(m)
+    return [[sum(map(operator.mul, values, col)) for col in zip(*(m[k] for k in cols))]
+            if cols else zero for cols, values in g]
+
+
 def _add_scaled(total, scale, m):
     """total + scale * m, entrywise on integer matrices."""
     return [[t + scale * e for t, e in zip(trow, mrow)] for trow, mrow in zip(total, m)]
 
 
+def _frame(p: Fraction, lo: int, hi: int):
+    """The powers p^e, e = lo..hi, over one denominator: the integers
+    num^(e-lo) den^(hi-e) in order of e, and the factor num^lo / den^hi
+    that turns each back into p^e."""
+    num, den = [1], [1]
+    for _ in range(hi - lo):
+        num.append(num[-1] * p.numerator)
+        den.append(den[-1] * p.denominator)
+    return ([x * y for x, y in zip(num, reversed(den))],
+            Fraction(p.numerator) ** lo / Fraction(p.denominator) ** hi)
+
+
 def eval_ncpoly(x: NcPoly, a: ExactMatrix, astar: ExactMatrix,
                 q_val: Rational, rho0_val: Rational, rho1_val: Rational) -> ExactMatrix:
     """Evaluation homomorphism from the free algebra: letters become the
-    matrices, coefficients evaluate at (q, rho0, rho1).
+    matrices, coefficients evaluate at (q, rho0, rho1), q nonzero.
 
-    Exact, in integers: with d the common denominator of the entries of A and
-    A*, a word w of value c becomes c (dA)^w / d^len(w).  Every word is put over
-    the one denominator D = lcm of den(c) d^len(w), so each adds an integer
-    multiple s_w of its integer image to one integer total, and the result is
-    total / D.
+    Exact, in integers and in one frame.  With d the common denominator of
+    the entries of A and A*, G_a = dA and G_s = dA*, a word w becomes
+    G^w / d^len(w).  With q = u/v and rho_i = a_i/b_i, lo and hi the least and
+    greatest q-exponent of all coefficients, E_i the greatest rho_i power and
+    L the longest word, the word w of coefficient sum c q^e rho0^e0 rho1^e1
+    adds s_w G^w to one integer total, where
+
+        s_w = sum c u^(e-lo) v^(hi-e) a0^e0 b0^(E0-e0) a1^e1 b1^(E1-e1) d^(L-len w),
+
+    read off power tables built once per call, and the image is
+    total u^lo / (v^hi b0^E0 b1^E1 d^L).  A word with s_w = 0 costs nothing.
 
     Each word is split as h x^k, where x^k is its whole trailing run and the
-    head h, possibly empty, is the rest.  The words of one head share
-    M(h) * T_h with T_h = sum s_w G_x^k, an integer combination of powers that
-    needs no product.  Powers and heads come from one memo of images built
-    right to left, M(x w') = G_x M(w'), so every distinct suffix of a head and
-    every power up to the longest trailing run is multiplied out once, and
-    each nonempty head costs one more product.  The words are grouped by
-    head first, so one T_h is held at a time.
+    head h, possibly empty, is the rest; a word that is itself the head of
+    another word is its own head, with the empty power.  The words of one
+    head share M(h) T_h with T_h = sum s_w G_x^k, an integer combination of
+    powers that needs no product; the head word itself adds s_w M(h) to the
+    total.  Powers and heads come from one memo of images built right to
+    left, M(x w') = G_x M(w'), from the nonzero entries of each row of G_x,
+    so every distinct suffix of a head and every power up to the longest
+    trailing run costs one sparse product, and each nonempty head whose
+    group has a power costs one dense product.
     """
     a._match(astar)
+    q_val = Fraction(q_val)
+    if q_val == 0:
+        raise ValueError("q must be nonzero")
     n = a.n
+    if not x.terms:
+        return ExactMatrix.zeros(n)
+    coeffs = x.terms.values()
+    exps = [e for c in coeffs for p in c.terms.values() for e in p.terms]
+    lo = min(exps)
+    qs, fq = _frame(q_val, lo, max(exps))
+    r0, f0 = _frame(Fraction(rho0_val), 0, max(e0 for c in coeffs for e0, _ in c.terms))
+    r1, f1 = _frame(Fraction(rho1_val), 0, max(e1 for c in coeffs for _, e1 in c.terms))
     d = math.lcm(*(e.denominator for m in (a, astar) for row in m.rows for e in row))
+    ds, fd = _frame(Fraction(1, d), 0, max(map(len, x.terms)))
+    scaled = {}
+    for w, c in x.terms.items():
+        s = sum(r0[e0] * r1[e1] * sum(k * qs[e - lo] for e, k in p.terms.items())
+                for (e0, e1), p in c.terms.items())
+        if s:
+            scaled[w] = s * ds[len(w)]
+    if not scaled:
+        return ExactMatrix.zeros(n)
     zero = [[0] * n for _ in range(n)]
     memo = {"": [[int(i == j) for j in range(n)] for i in range(n)]}
     for ch, m in ((GEN_A, a), (GEN_ASTAR, astar)):
         memo[ch] = [[e.numerator * (d // e.denominator) for e in row] for row in m.rows]
+    sparse = {ch: _sparse_rows(memo[ch]) for ch in (GEN_A, GEN_ASTAR)}
 
     def image(word):
         k = 0
         while word[k:] not in memo:
             k += 1
         for i in range(k - 1, -1, -1):
-            memo[word[i:]] = _int_matmul(memo[word[i]], memo[word[i + 1:]])
+            memo[word[i:]] = _sparse_left(sparse[word[i]], memo[word[i + 1:]])
         return memo[word]
 
-    values = [(w, c.eval_at(q_val, rho0_val, rho1_val)) for w, c in x.terms.items()]
-    values = [(w, c) for w, c in values if c]
-    den = math.lcm(*(c.denominator * d ** len(w) for w, c in values))
-    tails = {}
-    for w, c in values:
-        head = w.rstrip(w[-1:])
-        scale = c.numerator * (den // (c.denominator * d ** len(w)))
-        tails.setdefault(head, []).append((w[len(head):], scale))
+    heads = {w.rstrip(w[-1:]) for w in scaled}
+    groups = {}
+    for w, s in scaled.items():
+        head = w if w in heads else w.rstrip(w[-1:])
+        groups.setdefault(head, []).append((w[len(head):], s))
     total = zero
-    for head, tail in tails.items():
-        t = zero
-        for power, scale in tail:
-            t = _add_scaled(t, scale, image(power))
-        total = _add_scaled(total, 1, _int_matmul(image(head), t) if head else t)
-    return ExactMatrix([[Fraction(t, den) for t in row] for row in total])
+    for head, tail in groups.items():
+        m, t = image(head), None
+        for power, s in tail:
+            if power:
+                t = _add_scaled(t or zero, s, image(power))
+            else:
+                total = _add_scaled(total, s, m)
+        if t:
+            total = _add_scaled(total, 1, _int_matmul(m, t) if head else t)
+    factor = fq * f0 * f1 * fd
+    return ExactMatrix([[factor * e for e in row] for row in total])

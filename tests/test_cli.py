@@ -391,6 +391,19 @@ def test_matrix_check_usage(capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("option, value, code, shown", [
+    ("--t", "-1/3", EXIT_OK, {"q": "1/9"}), ("--v", "-1,2", EXIT_OK, {}),
+    ("--eps1", "-7/5", EXIT_OK, {}), ("--rho0", "-2/3", EXIT_GATE, {"rho0": "-2/3"})])
+def test_matrix_check_reads_negative_rationals(capsys, option, value, code, shown):
+    # a value that starts with a minus sign belongs to its option, with or
+    # without "="
+    argv = ("matrix-check", "--sites", "2", "--r", "2")
+    spaced = run(capsys, *argv, option, value)
+    assert spaced == run(capsys, *argv, f"{option}={value}")
+    assert spaced[0] == code
+    assert shown.items() <= json.loads(spaced[1].splitlines()[0]).items()
+
+
 def test_reduce_defining_monomial(capsys):
     code, out, _ = run(capsys, "reduce", "A^3 A*")
     assert code == EXIT_OK

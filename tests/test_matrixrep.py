@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -54,6 +55,13 @@ def gate_realization(sites, **scalars):
     # gate invariant: nothing downstream runs unless the defining relations hold
     assert check_realization(real)
     return real
+
+
+def perturbed(real):
+    """The gate realization with one entry of A moved by +1."""
+    rows = [list(row) for row in real.A.rows]
+    rows[0][0] += 1
+    return ExactMatrix(rows), real.Astar
 
 
 def test_evaluation_rep_structure():
@@ -151,9 +159,7 @@ def test_gate_passes_two_sites_with_identification():
 def test_gate_negative_controls():
     real = gate_realization(1)
     assert not check_qdg(real.A, real.Astar, real.rho0 + 1, real.rho1, real.q)
-    rows = [list(row) for row in real.A.rows]
-    rows[0][0] += 1
-    assert not check_qdg(ExactMatrix(rows), real.Astar, real.rho0, real.rho1, real.q)
+    assert not check_qdg(*perturbed(real), real.rho0, real.rho1, real.q)
 
 
 def test_check_qdg_commuting_case():
@@ -263,29 +269,95 @@ def test_eval_ncpoly_matches_word_by_word_oracle():
     assert not assert_matches_oracle(x, gate_realization(2, **GENERIC)).is_zero()
 
 
+FRAME_POINTS = {"q < 0": (Fraction(-9, 4), Fraction(-2, 3), Fraction(7)),
+                "rho0 = 0": (Fraction(1, 7), Fraction(0), Fraction(5, 11)),
+                "rho1 = 0": (Fraction(-3), Fraction(7), Fraction(0))}
+FRAME_POLYS = {
+    "all q-exponents positive": (
+        NcPoly.from_word("asa", LaurentPoly({3: 2, 5: -1})) + NcPoly.from_word("", LaurentPoly({2: -3}))
+        + NcPoly.from_word("s", LaurentPoly({1: 4}) * RHO0 ** 2)),
+    "all q-exponents negative": (
+        NcPoly.from_word("saa", LaurentPoly({-1: 5, -4: 2}) * RHO1) + NcPoly.from_word("a", LaurentPoly({-2: -1}))
+        + NcPoly.from_word("sasas", LaurentPoly({-3: 7}) * RHO0 * RHO1)),
+    "lengths 0 to 7 with rho powers": (
+        NcPoly.from_word("", RHO1 ** 3) + NcPoly.from_word("s", LaurentPoly({-2: 1, 3: 4}))
+        + NcPoly.from_word("as", RHO0 ** 2 * RHO1) + NcPoly.from_word("aas", LaurentPoly({1: -6}))
+        + NcPoly.from_word("ssaaasa", LaurentPoly({0: 2, -5: 1}) * RHO0 + RHO1 ** 2)),
+}
+
+
+@pytest.mark.parametrize("poly", FRAME_POLYS)
+@pytest.mark.parametrize("point", FRAME_POINTS)
+def test_eval_ncpoly_frame_matches_oracle(point, poly):
+    # one integer frame for every coefficient, whatever the signs of q and of
+    # the q-exponents, and with rho0 or rho1 zero under rho powers
+    point, x = FRAME_POINTS[point], FRAME_POLYS[poly]
+    # (4q + 9) rho0 rho1 vanishes at every point: these words widen the frame
+    # (q-exponents, rho powers, the longest word) but add nothing
+    vanishing = (NcPoly.from_word("aasa", LaurentPoly({6: 4, 5: 9}) * RHO0 * RHO1)
+                 + NcPoly.from_word("s" * 8, LaurentPoly({-6: 4, -7: 9}) * RHO0 ** 3 * RHO1))
+    real = gate_realization(2, **GENERIC)  # eps != 0: nonzero diagonals
+    for a, astar in ((real.A, real.Astar), perturbed(real)):
+        image = eval_ncpoly(x, a, astar, *point)
+        assert image == eval_by_words(x, a, astar, *point)
+        assert not image.is_zero()
+        assert eval_ncpoly(x + vanishing, a, astar, *point) == image
+
+
+def test_eval_ncpoly_of_zero_multiplies_nothing(monkeypatch):
+    real = gate_realization(2)
+    point = (real.q, real.rho0, real.rho1)
+    calls = count_products(monkeypatch)
+    assert eval_ncpoly(NcPoly.zero(), real.A, real.Astar, *point) == ExactMatrix.zeros(4)
+    vanishing = NcPoly.from_word("asa", LaurentPoly({1: 4, 0: -9}))  # 4 (q - 9/4)
+    assert eval_ncpoly(vanishing, real.A, real.Astar, *point) == ExactMatrix.zeros(4)
+    assert not calls
+
+
+def test_eval_ncpoly_rejects_q_zero():
+    real = gate_realization(1)
+    for x in (NcPoly.zero(), NcPoly.one(), matrixrep._QDG):
+        with pytest.raises(ValueError, match="q must be nonzero"):
+            eval_ncpoly(x, real.A, real.Astar, 0, real.rho0, real.rho1)
+    with pytest.raises(ValueError, match="q must be nonzero"):
+        check_realization(matrixrep.CoidealRealization(real.A, real.Astar, Fraction(0),
+                                                       real.rho0, real.rho1))
+
+
 def count_products(monkeypatch):
-    calls = []
-    matmul = matrixrep._int_matmul
-    monkeypatch.setattr(matrixrep, "_int_matmul", lambda x, y: calls.append(1) or matmul(x, y))
+    """Counts the sparse left products G_x M and the dense products M(h) T_h."""
+    calls = Counter()
+    for name, kind in (("_sparse_left", "sparse"), ("_int_matmul", "dense")):
+        def counted(x, y, product=getattr(matrixrep, name), kind=kind):
+            calls[kind] += 1
+            return product(x, y)
+        monkeypatch.setattr(matrixrep, name, counted)
     return calls
 
 
 def scheme_products(words):
-    """Integer products that evaluating these words costs when each word is
-    split as head * (trailing run): every distinct word of length >= 2 that
-    is a suffix of a nonempty head or a power x^k up to the longest trailing
-    run of x, plus one product per distinct nonempty head."""
-    heads, longest = set(), {}
+    """Products that evaluating these words costs when each word is split as
+    head * (trailing run), except that a word which is another word's head
+    is its own head with the empty power.  Sparse: every distinct word of
+    length >= 2 that is a suffix of a nonempty head, or a power x^k up to the
+    longest trailing run of x left to a power.  Dense: one per nonempty head
+    whose group holds a nonempty power."""
+    split = {}
     for w in filter(None, words):
         run = 1
         while run < len(w) and w[-1 - run] == w[-1]:
             run += 1
-        if run < len(w):
-            heads.add(w[:-run])
-        longest[w[-1]] = max(longest.get(w[-1], 0), run)
-    built = {h[i:] for h in heads for i in range(len(h) - 1)}
+        split[w] = w[:-run]
+    heads = set(split.values())
+    head = {w: w if w in heads else h for w, h in split.items()}
+    longest = {}
+    for w, h in head.items():
+        if w != h:
+            longest[w[-1]] = max(longest.get(w[-1], 0), len(w) - len(h))
+    built = {h[i:] for h in head.values() for i in range(len(h) - 1)}
     built |= {x * k for x, k in longest.items() for k in range(2, k + 1)}
-    return len(built) + len(heads)
+    dense = {h for w, h in head.items() if h and w != h}
+    return Counter(sparse=len(built), dense=len(dense))
 
 
 def test_eval_ncpoly_skips_a_coefficient_that_vanishes_at_the_point(monkeypatch):
@@ -299,8 +371,8 @@ def test_eval_ncpoly_skips_a_coefficient_that_vanishes_at_the_point(monkeypatch)
     assert assert_matches_oracle(NcPoly.from_word("ssa", vanishing), real).is_zero()
     # the power aa and the head s times its tail, once per evaluation; none
     # for the vanishing words, whose heads aas and ss would cost more
-    assert scheme_products(["sa", "saa"]) == 2
-    assert len(calls) == 2 * 2
+    assert scheme_products(["sa", "saa"]) == Counter(sparse=1, dense=1)
+    assert calls == Counter(sparse=2, dense=2)
 
 
 def test_eval_ncpoly_multiplies_each_suffix_power_and_head_once(monkeypatch):
@@ -312,8 +384,10 @@ def test_eval_ncpoly_multiplies_each_suffix_power_and_head_once(monkeypatch):
         words = [w for w, c in lhs.terms.items() if c.eval_at(*point)]
         calls = count_products(monkeypatch)
         assert eval_ncpoly(lhs, real.A, real.Astar, *point).is_zero()
-        # 137 distinct prefixes: the cost of a stack of prefix products
-        assert len(calls) == scheme_products(words) < 137, family
+        # the words A^i A*^5 are heads of A^i A*^5 A^j, so they share that
+        # head's product: 36 products, against 41 with a head of their own
+        # and 137 for a stack of prefix products
+        assert calls == scheme_products(words) == Counter(sparse=24, dense=12), family
 
 
 def test_eval_ncpoly_matches_oracle_on_word_shapes(monkeypatch):
@@ -327,6 +401,9 @@ def test_eval_ncpoly_matches_oracle_on_word_shapes(monkeypatch):
         "heads that are suffixes of other heads": (
             NcPoly.from_word("asa") + NcPoly.from_word("sasaa", c)
             + NcPoly.from_word("asas", RHO0) + NcPoly.from_word("aasass", c)),
+        "words that are heads, one of them alone in its group": (
+            NcPoly.from_word("s", c) + NcPoly.from_word("sa", RHO1)
+            + NcPoly.from_word("sas") + NcPoly.from_word("aas", c) + NcPoly.from_word("aassaa")),
         "long trailing runs": (
             NcPoly.from_word("s" + "a" * 12, c) + NcPoly.from_word("a" * 15)
             + NcPoly.from_word("as" + "s" * 10, RHO1) + NcPoly.from_word("sa" + "s" * 9)),
@@ -334,7 +411,9 @@ def test_eval_ncpoly_matches_oracle_on_word_shapes(monkeypatch):
     for name, x in shapes.items():
         calls = count_products(monkeypatch)
         assert not assert_matches_oracle(x, real).is_zero(), name
-        assert len(calls) == scheme_products(x.terms), name
+        assert calls == scheme_products(x.terms), name
+    # s is alone in its group and adds its image without a dense product
+    assert scheme_products(["s", "sa", "sas"]) == Counter(sparse=1, dense=1)
 
 
 def sabotaged_lhs(r, rng):
