@@ -321,6 +321,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_reduce.add_argument("expression")
     p_reduce.add_argument("--trace", action="store_true")
     p_reduce.add_argument("--out", default=None, metavar="PATH")
+    # An expression may start with a minus sign (-A, -2A, -rho0*A); read
+    # "-" followed by anything but "-" as a value unless it is an option
+    # (-h).  Set after the options, so that -h does not count as a negative
+    # number option.
+    p_reduce._negative_number_matcher = re.compile(r"^-[^-]")
     p_reduce.set_defaults(func=cmd_reduce)
 
     return parser

@@ -75,20 +75,20 @@ exponents of further commuting variables (x and y in ``coefficients``).
 Each key's coefficient is one int for the whole run, packed at one width W
 and one stride g: g is the gcd of the exponent gaps of the start and of
 every factor, each counted from its own least exponent, and a partial
-product is read from the sum of their least exponents.  A factor's term
-scales each packed int by its coefficient, as shifted int multiples for a
-one-term or sparse coefficient (beta_s = q^(2s) + q^(-2s) is two shifts) or
-as one int product with the coefficient's packing otherwise, and adds it at
-its key.  Every step yields a function that unpacks it, so a caller unpacks
-only the steps it reads.  Why W suffices: write |P|_1 for the sum of the
-absolute values of all coefficients over all keys of P.  A coefficient of
-start f_1 ... f_s, or of a partial sum of the step that builds it, is a sum
-of products of one coefficient of each operand, so by the triangle
-inequality it is at most |start|_1 prod_t |f_t|_1, and no more than
-B = |start|_1 prod_s |f_s|_1 over the whole run, since a nonzero factor has
-|f|_1 >= 1.  A zero operand counts as 1 in B: from it on every product is
-zero, so it leaves nothing to pack.  B also bounds every coefficient that
-is packed.  W comes from
+product is read from the sum of their least exponents.  Only the start is
+packed.  Each term c q^e of a factor's coefficient adds c times a packed int,
+shifted by W (e - low) / g bits for the factor's least exponent low, at the
+key moved by the factor's key step: beta_s = q^(2s) + q^(-2s) is two shifted
+adds and [s]^2_(q^2) is 2s - 1 of them.  Every step yields a function that
+unpacks it, so a caller unpacks only the steps it reads.  Why W suffices:
+write |P|_1 for the sum of the absolute values of all coefficients over all
+keys of P.  A coefficient of start f_1 ... f_s, or of a partial sum of the
+step that builds it, is a sum of products of one coefficient of each
+operand, so by the triangle inequality it is at most
+|start|_1 prod_t |f_t|_1, and no more than B = |start|_1 prod_s |f_s|_1 over
+the whole run, since a nonzero factor has |f|_1 >= 1.  A zero operand counts
+as 1 in B: from it on every product is zero, so it leaves nothing to pack.
+B also bounds the start's coefficients, the only ones packed.  W comes from
 B as above, and ``unpack_poly`` checks every digit it reads.
 
 Rational numbers for matrix evaluation are ``fractions.Fraction``.
@@ -412,11 +412,10 @@ def running_product(start: dict, factors: list):
 
     The run holds each key's coefficient as one packed int at one width and
     one stride from the first factor to the last (module docstring), and
-    unpacks only what a yielded function is called for.  A factor's
-    coefficient of one term, or with at least twice as many slots as terms,
-    is applied as shifted adds; any other is one int product with its
-    packing.  Each packed int holds a slot for every exponent of its span,
-    so a run pays for its span, not its terms.
+    unpacks only what a yielded function is called for.  Every term of a
+    factor's coefficient is applied as one shifted int multiple.  Each packed
+    int holds a slot for every exponent of its span, so a run pays for its
+    span, not its terms.
     """
     operands = [{key: t for key, c in poly.items() if (t := _exponents(c))}
                 for poly in (start, *factors)]
@@ -434,26 +433,16 @@ def running_product(start: dict, factors: list):
     base = lows[0]
     values = {key: pack_poly(t, width, -base, stride) for key, t in operands[0].items()}
     for factor, low in zip(operands[1:], lows[1:]):
-        # each term of the factor as (key step, [(multiplier, shift in bits)],
-        # its packing or 0)
-        steps = []
-        for step, t in factor.items():
-            if len(t) == 1 or 2 * len(t) <= (max(t) - min(t)) // stride + 1:
-                steps.append((step, [(c, width * ((e - low) // stride)) for e, c in t.items()], 0))
-            else:
-                steps.append((step, (), pack_poly(t, width, -low, stride)))
+        # each term of the factor as (key step, [(multiplier, shift in bits)])
+        steps = [(step, [(c, width * ((e - low) // stride)) for e, c in t.items()])
+                 for step, t in factor.items()]
         out = {}
         for key, v in values.items():
-            # the product skips v's empty low slots
-            zeros = (v & -v).bit_length() - 1
-            head = v >> zeros
-            for step, shifts, packed in steps:
+            for step, shifts in steps:
                 key2 = tuple(map(operator.add, key, step))
                 acc = out.get(key2, 0)
                 for c, bits in shifts:
                     acc += v * c << bits
-                if packed:
-                    acc += head * packed << zeros
                 out[key2] = acc
         values = {key: v for key, v in out.items() if v}
         base += low

@@ -174,11 +174,12 @@ def _parse_uint(tokens) -> int:
     return int(digits)
 
 
-def _parse_exponent(tokens, default: int = 1) -> int:
+def _parse_exponent(tokens) -> int:
+    """An optional "^" exponent; 1 when there is none."""
     if tokens[-1][0] == "^":
         tokens.pop()
         return _parse_uint(tokens)
-    return default
+    return 1
 
 
 def _size(x: RingElement):

@@ -37,30 +37,30 @@ Only the A-side relation is installed.  The A*-side family is reached
 through the dagger automorphism, never by a second rule.
 
 ``_normalize`` learns how a block expands only through a memo view, a map
-(n, post) -> (j, tail, multiplier, shift), one for each word A^j A* tail of
-NF(A^n A*), for the block A^n A* followed by the letters ``post``
-(j <= 2 by the recurrence above): a popped coefficient c becomes
-c * multiplier, shifted left by ``shift`` bits when that is not 0, and
-sums are tested for zero by ``not s``.  ``_view`` builds three views, one
-per multiplier of a memo term: the memo itself (RingElement coefficients)
-and its l1 view (the exact l1 norm of each coefficient, an int), both with
-shift 0, and its packing (an odd int and a shift per coefficient).
+n -> [(j, tail, multiplier, b0, d)], one entry for each word A^j A* tail of
+NF(A^n A*) (j <= 2 by the recurrence above): for the block A^n A* followed
+by letters ``post`` with s A*'s, a popped coefficient c becomes
+c * multiplier, shifted left by b0 + d s bits when that is not 0, and sums
+are tested for zero by truth value.  ``_view`` builds three views, one per
+multiplier of a memo term: the memo itself (RingElement coefficients) and
+its l1 view (the exact l1 norm of each coefficient, an int), both with
+b0 = d = 0, and its packing (an odd int, b0 and d per coefficient).
 ``normal_form``, ``trace_reduction`` and ``reduce`` use the first, the
 width bound ``_mass_bound`` the second.
 
-What is cached, and for how long.  A view's lists depend only on n and
-the number of A*'s in ``post``, and the memo only on the rule, so
-``_POW_NF``, the ring view ``_RING_VIEW`` and the l1 view ``_L1_VIEW`` live
-for the whole process; the packed view depends on K and lives for one call.
-Within one pass ``_normalize`` keeps a move table: the first time a rest
-(a word of a prefix class, after the prefix) is popped, under any prefix,
-its moves are read from the view and kept, and every later pop of that rest
-only multiplies, shifts and adds.  The relation makes 5 400 replacements
-of 366 distinct rests at r = 6, and 20 793 of 595 at r = 7.  The moves
-depend on the rest and the view only, so reusing them changes no step,
-count or sum.  ``_mass_bound`` keeps U (step 2 below) per rest for the
-whole process in ``_MASS``: U(rest) is defined by the rest and the
-rule-only memo alone, never by the input that reaches it.
+What is cached, and for how long.  A view's lists depend only on n, and
+the memo only on the rule, so ``_POW_NF``, the ring view ``_RING_VIEW`` and
+the l1 view ``_L1_VIEW`` live for the whole process; the packed view
+depends on K and lives for one call.  Within one pass ``_normalize`` keeps a
+move table: the first time a rest (a word of a prefix class, after the
+prefix) is popped, under any prefix, its moves are read from the view, with
+their shifts for its ``post``, and kept, and every later pop of that rest
+only multiplies, shifts and adds.  The relation makes 5 400 replacements of
+366 distinct rests at r = 6, and 20 793 of 595 at r = 7.  The moves depend
+on the rest and the view only, so reusing them changes no step, count or
+sum.  ``_mass_bound`` keeps U (step 2 below) per rest for the whole process
+in ``_MASS``: U(rest) is defined by the rest and the rule-only memo alone,
+never by the input that reaches it.
 
 Packed graded coefficients.  Give A and A* degree 1 and rho0 degree 2;
 the rule is homogeneous and its coefficients have even q-exponents.  So on
@@ -77,7 +77,7 @@ polynomial in X = q^2.  ``normal_form_with_stats`` packs such input:
    which is empty or starts with its first block A^n A*, n >= 3.  Then
    U("") = 1, and U(A^n A* post) is the largest over j in {0, 1, 2} of the sum of
    l1 * U(rest of tail post) over the entries (j, tail, l1) of the l1 view
-   at (n, post).  With the weight of a prefix P the sum of ||c_w||_1 U(rest
+   at n.  With the weight of a prefix P the sum of ||c_w||_1 U(rest
    of w) over the input words w with prefix P, B is the largest sum of
    weights along a chain of prefixes, each a prefix of the next;
 3. K = (bit length of B) + 2;
@@ -130,7 +130,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactring import LaurentPoly, RingElement, pack_poly, unpack_poly
+from .exactring import RHO0, LaurentPoly, RingElement, pack_poly, unpack_poly
 from .freealg import GEN_A, GEN_ASTAR, NcPoly, word_key, word_string
 from .qnumbers import qint
 
@@ -153,15 +153,14 @@ def measure(w: str) -> tuple[int, int]:
 
 
 _THREE = RingElement.from_laurent(qint(3))
-_RHO0 = RingElement.rho0()
 
 # RHS of the rule as (word, coefficient) pairs
 _RULE = (
     ("aasa", _THREE),
     ("asaa", -_THREE),
     ("saaa", RingElement.one()),
-    ("as", _RHO0),
-    ("sa", -_RHO0),
+    ("as", RHO0),
+    ("sa", -RHO0),
 )
 
 
@@ -244,25 +243,20 @@ def _view(multiplier):
     for the term c mw of NF(A^n A*), and the shift before a ``post`` with s
     A*'s is b0 + d s."""
     heads: dict[int, list] = {}
-    quads: dict[tuple, list] = {}
 
-    def view(n: int, post: str):
-        s = post.count(GEN_ASTAR)
-        out = quads.get((n, s))
-        if out is None:
-            head = heads.get(n)
-            if head is None:
-                head = heads[n] = []
-                for mw, c in _pow_nf(n).items():
-                    j = mw.index(GEN_ASTAR)
-                    head.append((j, mw[j + 1:], *multiplier(n, mw, c)))
-            out = quads[(n, s)] = [(j, tail, v, b0 + d * s) for j, tail, v, b0, d in head]
-        return out
+    def view(n: int):
+        head = heads.get(n)
+        if head is None:
+            head = heads[n] = []
+            for mw, c in _pow_nf(n).items():
+                j = mw.index(GEN_ASTAR)
+                head.append((j, mw[j + 1:], *multiplier(n, mw, c)))
+        return head
     return view
 
 
-# one ring view per process: its lists depend on n and s(post) only, and
-# rebuilding them for every call costs about 4% of the reduce benchmark
+# one ring view per process: its lists depend on n only, and rebuilding
+# them for every call costs about 4% of the reduce benchmark
 _RING_VIEW = _view(lambda n, mw, c: (c, 0, 0))
 
 
@@ -370,9 +364,10 @@ def _normalize(terms: dict, expand=_RING_VIEW, record: ReductionTrace | None = N
                     moves = [(n, post, _REDEX in post, None, 0)]
                 else:
                     moves = []
-                    for j, tail, v, shift in expand(n, post):
+                    s = post.count(GEN_ASTAR)
+                    for j, tail, v, b0, d in expand(n):
                         rest = tail + post
-                        moves.append((j, rest, _REDEX in rest, v, shift))
+                        moves.append((j, rest, _REDEX in rest, v, b0 + d * s))
                 table[w] = moves
             for j, rest, reducible, v, shift in moves:
                 if v is None:
@@ -461,7 +456,7 @@ def _mass_bound(terms: dict) -> int:
             continue
         n = rest.index(GEN_ASTAR)
         post = rest[n + 1:]
-        kids = [(j, v, _block_rest(tail + post)) for j, tail, v, _ in _L1_VIEW(n, post)]
+        kids = [(j, v, _block_rest(tail + post)) for j, tail, v, _, _ in _L1_VIEW(n)]
         todo = [k for _, _, k in kids if k not in mass]
         if todo:
             stack += todo

@@ -446,6 +446,28 @@ def test_reduce_trace(capsys):
     assert lines[-1] + "\n" == plain
 
 
+@pytest.mark.parametrize("expression, printed",
+                         [("-A", "-A"), ("-2A", "-2 A"), ("-rho0*A", "-rho0 A")])
+def test_reduce_reads_a_leading_minus_as_the_expression(capsys, expression, printed):
+    assert run(capsys, "reduce", expression) == (EXIT_OK, printed + "\n", "")
+
+
+def test_reduce_traces_an_expression_with_a_leading_minus(capsys):
+    code, out, _ = run(capsys, "reduce", "-A^4 A*", "--trace")
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert lines[0] == "A^4 A* -> 6 terms @pos 0"
+    assert lines[-1] == normal_form(parse_expression("-A^4 A*")).to_string()
+
+
+@pytest.mark.parametrize("argv", [("--bogus",), ("-A", "--bogus")])
+def test_reduce_still_rejects_an_unknown_option(capsys, argv):
+    code, out, err = run(capsys, "reduce", *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "error:" in err
+
+
 def test_reduce_trace_of_a_long_power_is_quick(capsys):
     start = time.perf_counter()
     code, out, _ = run(capsys, "reduce", "--trace", "A^40 A*")

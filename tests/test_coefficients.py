@@ -266,12 +266,11 @@ def test_closed_tables_share_one_running_product(route, monkeypatch):
     assert made == list(range(1, 9))
 
 
-# pack_poly calls per run: the start entries, and each factor coefficient that
-# is multiplied as one packed int; beta_s = q^(2s) + q^(-2s) for s >= 2, the
-# one-term [1]^2_{q^2} and the q-binomial factors' -q^(2m) go as shifted adds
+# pack_poly calls per run: the start entries only; every factor coefficient
+# goes in as shifted adds, one per term
 PACKED_RUNS = {
-    "genfun": (lambda: list(coeff_tables(8, "genfun")), 2 + 1 + 7),  # x - y, beta_1, [s]^2 for s >= 2
-    "closed": (lambda: list(coeff_tables(8, "closed")), 1 + 1 + 7),  # 1, beta_1, [s]^2 for s >= 2
+    "genfun": (lambda: list(coeff_tables(8, "genfun")), 2),  # x - y
+    "closed": (lambda: list(coeff_tables(8, "closed")), 1),  # 1
     "qbinom": (lambda: qbinom_product_coeffs(10), 1),
 }
 
@@ -481,3 +480,19 @@ def test_r12_export_is_the_same_under_optimized_mode(route):
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout).hexdigest() == R12_JSON_DIGESTS[route]
+
+
+# SHA-256 of the r = 20 JSON exports (qonsager coeffs --r 20 --route ROUTE),
+# recorded while factor coefficients of many terms were still multiplied as
+# one packed int product: r = 20 is the CLI's cap, and there the [s]^2_{q^2}
+# factors run to 39 terms at widths above 64 bits.
+R20_JSON_DIGESTS = {
+    "closed": "e078d77c9d47381d6a29d8990626cf3516373f1a07ecb4adbc432fc4a6f19fbb",
+    "genfun": "3cb196f0f47bcdbf4ad7b990aaa64f3dae9c9f8fe46ff51f6e86a203945c0346",
+}
+
+
+@pytest.mark.parametrize("route", sorted(R20_JSON_DIGESTS))
+def test_r20_exports_are_pinned(route):
+    digest = hashlib.sha256(table_to_json(coeff_table(20, route)).encode()).hexdigest()
+    assert digest == R20_JSON_DIGESTS[route]

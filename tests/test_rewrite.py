@@ -394,13 +394,13 @@ def test_packed_multipliers_are_odd_mantissas_of_the_shifted_heads(width):
     view = _packed_view(width)
     for n in range(3, 21):
         memo = _pow_nf(n)
-        for s in range(9):
-            quads = view(n, "as" * s)
-            assert ["a" * j + "s" + tail for j, tail, _, _ in quads] == list(memo)
-            for (_, _, v, shift), (mw, c) in zip(quads, memo.items()):
-                assert v & 1, (n, s, mw)
-                head = pack_poly(_x_poly(mw, c, n + 1), width, n - measure(mw)[1])
-                assert v << shift == head << (width * (n - mw.count("a")) * s), (n, s, mw)
+        entries = view(n)
+        assert ["a" * j + "s" + tail for j, tail, _, _, _ in entries] == list(memo)
+        for (_, _, v, b0, d), (mw, c) in zip(entries, memo.items()):
+            assert v & 1, (n, mw)
+            head = pack_poly(_x_poly(mw, c, n + 1), width, n - measure(mw)[1])
+            for s in range(9):
+                assert v << (b0 + d * s) == head << (width * (n - mw.count("a")) * s), (n, s, mw)
 
 
 def cold_mass_memo(monkeypatch):
