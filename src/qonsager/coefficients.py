@@ -1,8 +1,9 @@
 """The relation coefficients c_j^{[r,p]} by three independent routes.
 
 Route 1 (``reduced_genfun_coeffs``): expand the two-variable generating
-polynomial (x - y) * prod_s (x^2 - beta_s x y + y^2 - [s]^2_{q^2} rho0) and
-strip the (-1)^{j+p} rho0^p prefactors.  This is the ground-truth route.
+polynomial (x - y) * prod_s (x^2 - beta_s x y + y^2 - [s]^2_{q^2} rho0) at
+x = 1, which loses nothing since it is homogeneous, and strip the
+(-1)^{j+p} rho0^p prefactors.  This is the ground-truth route.
 
 Route 2 (``closedform_table``): the double sum over ordered disjoint index
 families with a floor-halved binomial weight; the family sums are the u^p v^k
@@ -14,8 +15,9 @@ Both stay available through the ``literal`` flag, corrected is the default.
 Routes 1 and 2, and the q-binomial product, multiply one factor at a time as
 one running product (``exactring.running_product``): each coefficient stays
 one packed int from the first factor to the last, and only the steps that a
-caller reads are unpacked.  Route 1 leaves the power of rho0 implicit and reads
-the signs (-1)^{j+p} off the product under y -> -y, rho0 -> -rho0
+caller reads are unpacked.  Route 1 runs its product at x = 1, keyed by the
+powers (p, j) of rho0 and y, which are the table's own indices, and reads the
+signs (-1)^{j+p} off the product under y -> -y, rho0 -> -rho0
 (``_reduced_expansions`` says why that is sound).
 
 Route 3 (``recursion_coeffs``): the inductive r -> r+1 step through the
@@ -119,27 +121,18 @@ def lusztig_coeffs(r: int) -> CoeffTable:
 # ---------------------------------------------------------------------------
 
 
-def _genfun_factor(beta, gamma, delta) -> dict:
-    """x^2 - beta xy + y^2 - gamma (x+y) - delta, leaving out a falsy gamma or delta."""
-    factor = {(2, 0): 1, (0, 2): 1, (1, 1): -beta}
-    if gamma:
-        factor[(1, 0)] = factor[(0, 1)] = -gamma
-    if delta:
-        factor[(0, 0)] = -delta
-    return factor
-
-
 def genfun_polynomial(r: int, params) -> dict:
     """Expansion of (x-y) * prod_s (x^2 - beta_s xy + y^2 - gamma_s (x+y) - delta_s)
-    as {(i, j): scalar} in commuting x, y.  Scalars are whatever the params carry
-    (RingElement for the symbolic reduced sequence, Fraction for numeric data)."""
+    as {(i, j): nonzero scalar} in commuting x, y.  Scalars are whatever the params
+    carry (RingElement for the symbolic reduced sequence, Fraction for numeric data)."""
     params = list(params)
     if len(params) != r:
         raise ValueError(f"need exactly r={r} parameter steps, got {len(params)}")
     poly = {(1, 0): 1, (0, 1): -1}  # x - y
     for step in params:
-        poly = _times(poly, _genfun_factor(step.beta, step.gamma, step.delta))
-        poly = {key: a for key, a in poly.items() if a}
+        factor = {(2, 0): 1, (1, 1): -step.beta, (0, 2): 1,
+                  (1, 0): -step.gamma, (0, 1): -step.gamma, (0, 0): -step.delta}
+        poly = {key: a for key, a in _times(poly, factor).items() if a}
     return poly
 
 
@@ -151,22 +144,21 @@ def _reduced_step(s: int) -> tuple:
 
 def _reduced_expansions(r_max: int):
     """Yield, for r = 1..r_max, a function that returns the reduced generating
-    polynomial under y -> -y, rho0 -> -rho0 as {(i, j): LaurentPoly}
-    (``exactring.running_product``), the rho0 power p = (2r+1-i-j)/2 of
-    a_(i, j) left implicit: a factor step is
-    a_new(i, j) = a(i-2, j) + a(i, j-2) + beta_s a(i-1, j-1) + [s]^2_{q^2} a(i, j).
+    polynomial at x = 1 under y -> -y, rho0 -> -rho0 as {(p, j): LaurentPoly},
+    the coefficient of rho0^p y^j (``exactring.running_product``): a factor
+    step is a_new(p, j) = a(p, j) + beta_s a(p, j-1) + a(p, j-2) + [s]^2_{q^2} a(p-1, j).
 
-    Leaving rho0 implicit is sound because each factor is homogeneous of
-    degree 2 when x and y have degree 1 and rho0 has degree 2: beta_s is
-    rho0-free and delta_s = [s]^2_{q^2} rho0.  So every term a_(i, j) x^i y^j
-    of the product has degree 2r+1, and a_(i, j) is a LaurentPoly times
-    rho0^p.  The substitution multiplies that term by (-1)^(j+p), so the
-    product yields the signed entries c_j^{[r,p]} = (-1)^(j+p) a_(i, j) of
-    the table directly: it starts from x + y, and each factor is
-    x^2 + beta_s xy + y^2 + [s]^2_{q^2}."""
-    factors = [_genfun_factor(-beta, 0, -square)
+    Setting x = 1 is sound because each factor is homogeneous of degree 2
+    when x and y have degree 1 and rho0 has degree 2: beta_s is rho0-free and
+    delta_s = [s]^2_{q^2} rho0.  So every term of the product has degree
+    2r+1, and the coefficient of rho0^p y^j at x = 1 is that of the one term
+    x^(2r+1-2p-j) y^j rho0^p: the keys are the table's own (p, j).  The
+    substitution multiplies that term by (-1)^(j+p), so the product yields
+    the signed entries c_j^{[r,p]} directly: it starts from 1 + y, and each
+    factor is 1 + beta_s y + y^2 + [s]^2_{q^2} rho0."""
+    factors = [{(0, 0): 1, (0, 1): beta, (0, 2): 1, (1, 0): square}
                for beta, square in map(_reduced_step, range(1, r_max + 1))]
-    return running_product({(1, 0): 1, (0, 1): 1}, factors)
+    return running_product({(0, 0): 1, (0, 1): 1}, factors)
 
 
 def reduced_genfun_coeffs(r: int) -> CoeffTable:
@@ -177,13 +169,8 @@ def reduced_genfun_coeffs(r: int) -> CoeffTable:
 def _reduced_table(r: int, expansion) -> CoeffTable:
     """The c-table at this r from ``expansion``, the function that
     ``_reduced_expansions`` yields for r: it unpacks the signed expansion
-    {(i, j): LaurentPoly}, rho0 implicit."""
-    entries = {}
-    for (i, j), value in expansion().items():
-        rem = 2 * r + 1 - i - j
-        if rem < 0 or rem % 2:
-            raise AssertionError(f"stray monomial x^{i} y^{j} in the expansion")
-        entries[(rem // 2, j)] = value
+    {(p, j): LaurentPoly}, and the entries it leaves out are zero."""
+    entries = expansion()
     for p in range(r + 1):
         for j in range(2 * (r - p) + 2):
             entries.setdefault((p, j), LaurentPoly.zero())

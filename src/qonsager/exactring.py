@@ -47,11 +47,11 @@ machine words) and to a multiple of 8 above (they then move as bytes, one
 below 2^(W-1) has exactly the c_k as its digits.  There is no fixed width,
 and nothing wraps.  The same codec carries ``rewrite``'s packed reduction,
 whose width argument is in that module's docstring; its widths need not be
-multiples of 8, and those slots move as binary text.  ``pack_poly`` checks
-every slot against 2^(W-1) and every exponent against the stride lattice
-(a term off it would have no slot), ``unpack_poly`` every digit against
-2^(W-2), and both raise ``AssertionError`` (not ``assert``, so the checks
-stay under ``python -O``).
+multiples of 8, and those slots are packed by Horner's rule and read by
+shift and mask.  ``pack_poly`` checks every slot against 2^(W-1) and every
+exponent against the stride lattice (a term off it would have no slot),
+``unpack_poly`` every digit against 2^(W-2), and both raise
+``AssertionError`` (not ``assert``, so the checks stay under ``python -O``).
 
 Packed values.  A computation of many sums and products, such as one step
 of the coefficient recursion, runs on one ``PackedRing``: one width W and
@@ -132,10 +132,14 @@ _WORD_CODES = {array(code).itemsize * 8: code for code in "bhiq"}
 
 
 def _slot_bias(width: int, slots: int) -> int:
-    """The int with 2^(width-1) in each of ``slots`` base-2^width digits."""
-    if width % 8 == 0:
-        return int.from_bytes((bytes(width // 8 - 1) + b"\x80") * slots, "little")
-    return int(("1" + "0" * (width - 1)) * slots, 2)
+    """The int with 2^(width-1) in each of ``slots`` base-2^width digits, by
+    doubling the digits it has; a division of the repunit costs several
+    times more at a few hundred slots."""
+    bias, have = 1 << (width - 1), 1
+    while have < slots:
+        bias |= bias << width * have
+        have *= 2
+    return bias & ((1 << width * slots) - 1)
 
 
 def pack_poly(poly: dict, width: int, offset: int = 0, stride: int = 1) -> int:
@@ -145,9 +149,8 @@ def pack_poly(poly: dict, width: int, offset: int = 0, stride: int = 1) -> int:
 
     When width is a multiple of 8 the coefficients go into two's-complement
     slots, through one ``array`` at a word width and as ``int.to_bytes`` per
-    slot above; otherwise their magnitudes go into two binary strings, one
-    for the positive and one for the negative terms.  Either way the work is
-    linear in the number of slots.
+    slot above, in time linear in the number of slots.  Other widths, which
+    only ``rewrite``'s packed reduction uses, go by Horner's rule.
     """
     if not poly:
         return 0
@@ -156,23 +159,18 @@ def pack_poly(poly: dict, width: int, offset: int = 0, stride: int = 1) -> int:
         raise AssertionError(f"negative X exponent {first} in a packed coefficient")
     # slots from the first nonzero one; the empty ones below it are a shift
     slots = (max(poly) + offset) // stride + 1 - first
-    if width % 8:
-        if stride > 1 and any((e + offset) % stride for e in poly):
-            raise AssertionError(f"an exponent off the stride-{stride} lattice in a packed coefficient")
-        fmt = f"0{width}b"
-        top = first + slots - 1
-        pos, neg = ["0" * width] * slots, ["0" * width] * slots
-        for e, c in poly.items():
-            (pos if c > 0 else neg)[top - (e + offset) // stride] = format(abs(c), fmt)
-        pos, neg = "".join(pos), "".join(neg)
-        if len(pos) + len(neg) != 2 * slots * width:
-            raise AssertionError(f"a packed coefficient needs more than {width} bits")
-        return int(pos, 2) - int(neg, 2) << (width * first)
     start = first * stride - offset
     coeffs = [poly.get(e, 0) for e in range(start, start + slots * stride, stride)]
     # a term off the lattice has no slot: it is missing from coeffs
     if stride > 1 and len(coeffs) - coeffs.count(0) != len(poly):
         raise AssertionError(f"an exponent off the stride-{stride} lattice in a packed coefficient")
+    if width % 8:
+        if max(map(abs, coeffs)) >> (width - 1):
+            raise AssertionError(f"a packed coefficient needs more than {width} bits")
+        value = 0
+        for c in reversed(coeffs):
+            value = (value << width) + c
+        return value << (width * first)
     code = _WORD_CODES.get(width)
     try:
         if code is not None:
@@ -203,7 +201,7 @@ def unpack_poly(value: int, width: int, base: int = 0, stride: int = 1) -> dict:
     slots = value.bit_length() // width + 1
     bias = _slot_bias(width, slots)
     biased = value + bias
-    limit = 1 << (width - 2)
+    limit, half = 1 << (width - 2), 1 << (width - 1)
     if biased < 0 or biased >> (slots * width):
         raise AssertionError(f"a packed digit reaches 2^{width - 2}")
     code = _WORD_CODES.get(width)
@@ -216,14 +214,11 @@ def unpack_poly(value: int, width: int, base: int = 0, stride: int = 1) -> dict:
     elif width % 8 == 0:
         size = width // 8
         raw = biased.to_bytes(slots * size, "little")
-        half = 1 << (width - 1)
         digits = [int.from_bytes(raw[i:i + size], "little") - half
                   for i in range(0, slots * size, size)]
     else:
-        text = format(biased, f"0{slots * width}b")
-        half = 1 << (width - 1)
-        digits = [int(text[i - width:i], 2) - half
-                  for i in range(slots * width, 0, -width)]
+        mask = (1 << width) - 1
+        digits = [(biased >> i & mask) - half for i in range(0, slots * width, width)]
     if max(digits) >= limit or min(digits) <= -limit:
         raise AssertionError(f"a packed digit reaches 2^{width - 2}")
     out = dict(zip(range(base, base + slots * stride, stride), digits))

@@ -28,15 +28,17 @@ _DAGGER_SWAP = str.maketrans("as", "sa")
 
 _MAX_EXPONENT = 10 ** 6
 _MAX_WORD_LETTERS = 128  # per term, over all factors: NF(A^n A*) costs about n^3 memory
-# A scalar product or power in the input may have at most this many terms, as
-# bounded by the box of its q, rho0 and rho1 exponents (each span + 1,
-# multiplied); exponent ranges add under products, and (1+q)^4000 alone took
-# 14 s on a 2-vCPU AMD EPYC host.
+# A sum in the input may have at most this many terms, and a scalar product or
+# power room for at most this many: the smaller of the box of its q, rho0 and
+# rho1 exponents (each span + 1, multiplied; exponent ranges add under
+# products) and the product of its operands' term counts.  (1+q)^4000 alone
+# took 14 s on a 2-vCPU AMD EPYC host.
 _MAX_SCALAR_TERMS = 1000
-# Parsed integer coefficients, literals and computed products alike, stay at
-# most 2^4096, so a parsed product prints as text that parses back; the
-# reduction adds 119 bits to NF(A^127 A*) and 177 to NF((A^40 A*)^3), far below
-# the about 14 000 bits of Python's 4300-digit limit on printing an int.
+# Parsed integer coefficients, literals, computed products and the 1-norm of
+# a sum alike, stay at most 2^4096, so a parsed value prints as text that
+# parses back; the reduction adds 119 bits to NF(A^127 A*) and 177 to
+# NF((A^40 A*)^3), far below the about 14 000 bits of Python's 4300-digit
+# limit on printing an int.
 _MAX_COEFF_BITS = 4096
 _MAX_LITERAL_DIGITS = len(str(2 ** _MAX_COEFF_BITS))
 
@@ -183,23 +185,24 @@ def _parse_exponent(tokens) -> int:
 
 
 def _size(x: RingElement):
-    """(q, rho0, rho1 exponent ranges as least, greatest; bits): bits is
-    ceil(log2) of the sum of |coefficient|.  The ranges add exactly under
-    products, the bits at most additively."""
+    """((q, rho0, rho1 exponent ranges as least, greatest; bits), terms): bits
+    is ceil(log2) of the sum of |coefficient|, terms the number of terms.  The
+    ranges add exactly under products, the bits at most additively, and the
+    terms at most multiply."""
     if not x:
-        return (0,) * 7
+        return (0,) * 7, 0
     qs = [e for p in x.terms.values() for e in p.terms]
     e0s, e1s = zip(*x.terms)
     norm = sum(abs(c) for p in x.terms.values() for c in p.terms.values())
-    return (*(f(v) for v in (qs, e0s, e1s) for f in (min, max)), (norm - 1).bit_length())
+    return (*(f(v) for v in (qs, e0s, e1s) for f in (min, max)), (norm - 1).bit_length()), len(qs)
 
 
-def _check_size(size, pos: int):
-    """Reject a scalar, before it is computed, whose size leaves room for more
-    than _MAX_SCALAR_TERMS terms or a coefficient above 2^_MAX_COEFF_BITS, or
-    that has an exponent beyond _MAX_EXPONENT."""
+def _check_size(size, terms: int, pos: int):
+    """Reject a scalar, before it is computed, whose size and bound on its
+    terms leave room for more than _MAX_SCALAR_TERMS terms or a coefficient
+    above 2^_MAX_COEFF_BITS, or that has an exponent beyond _MAX_EXPONENT."""
     q0, q1, a0, a1, b0, b1, bits = size
-    if (q1 - q0 + 1) * (a1 - a0 + 1) * (b1 - b0 + 1) > _MAX_SCALAR_TERMS:
+    if min((q1 - q0 + 1) * (a1 - a0 + 1) * (b1 - b0 + 1), terms) > _MAX_SCALAR_TERMS:
         raise ParseError(f"scalar with room for more than {_MAX_SCALAR_TERMS} terms", pos)
     if bits > _MAX_COEFF_BITS:
         raise ParseError(f"scalar with room for a coefficient above 2^{_MAX_COEFF_BITS}", pos)
@@ -207,10 +210,11 @@ def _check_size(size, pos: int):
         raise ParseError("exponent overflow", pos)
 
 
-def _parse_power(tokens, size, pos: int) -> int:
-    """The exponent n of a power, once the size of the power is checked."""
+def _parse_power(tokens, size, terms: int, pos: int) -> int:
+    """The exponent n of a power, once the size of the power is checked; two
+    terms to the power 10 exceed _MAX_SCALAR_TERMS, so n is capped there."""
     n = _parse_exponent(tokens)
-    _check_size([n * x for x in size], pos)
+    _check_size([n * x for x in size], terms ** min(n, _MAX_SCALAR_TERMS.bit_length()), pos)
     return n
 
 
@@ -222,7 +226,7 @@ def _parse_atom(tokens) -> RingElement:
         if len(tok) > _MAX_LITERAL_DIGITS:
             raise ParseError(f"integer longer than {_MAX_LITERAL_DIGITS} digits", pos)
         value = RingElement.from_int(int(tok))
-        _check_size(_size(value), pos)
+        _check_size(*_size(value), pos)
         return value
     if tok in ("rho0", "rho1"):
         tokens.pop()
@@ -243,18 +247,17 @@ def _parse_atom(tokens) -> RingElement:
         tokens.pop()
         n = _parse_uint(tokens)
         end = _expect(tokens, "]_q")
-        # [n]_q is dense, so its size counts its terms even at power 1; it is
+        # [n]_q is dense, so its box counts its terms even at power 1; it is
         # q^-m + ... + q^m with m = n - 1 and coefficient sum n, known from n
         m = max(n - 1, 0)
-        k = _parse_power(tokens, (-m, m, 0, 0, 0, 0, m.bit_length()), end)
+        k = _parse_power(tokens, (-m, m, 0, 0, 0, 0, m.bit_length()), 2 * m + 1, end)
         return RingElement.from_laurent(qint(n) ** k)
     if tok == "(":
         tokens.pop()
         value = _parse_sum(tokens, _parse_scalar_product)
         _expect(tokens, ")")
-        # a sum has no more terms than its input, so only its powers are checked
         tok, pos = tokens[-1]
-        return value ** _parse_power(tokens, _size(value), pos) if tok == "^" else value
+        return value ** _parse_power(tokens, *_size(value), pos) if tok == "^" else value
     raise ParseError("expected a scalar atom", pos)
 
 
@@ -265,7 +268,8 @@ def _parse_scalar_product(tokens) -> RingElement:
     while tokens[-1][0] == "*" and _starts_coeff(tokens[-2][0]):
         pos = tokens.pop()[1]
         factor = _parse_atom(tokens)
-        _check_size([a + b for a, b in zip(_size(value), _size(factor))], pos)
+        (size, terms), (size2, terms2) = _size(value), _size(factor)
+        _check_size([a + b for a, b in zip(size, size2)], terms * terms2, pos)
         value = value * factor
     return value
 
@@ -290,7 +294,9 @@ def _parse_term(tokens) -> NcPoly:
 
 
 def _parse_sum(tokens, part):
-    """part (('+'|'-') part)*, after an optional '-'."""
+    """part (('+'|'-') part)*, after an optional '-'; once formed, its int
+    coefficients over all words are checked against the sum limits."""
+    start = tokens[-1][1]
     if tokens[-1][0] == "-":
         tokens.pop()
         value = -part(tokens)
@@ -301,6 +307,12 @@ def _parse_sum(tokens, part):
             value = value + part(tokens)
         else:
             value = value - part(tokens)
+    coeffs = value.terms.values() if isinstance(value, NcPoly) else [value]
+    ints = [c for x in coeffs for p in x.terms.values() for c in p.terms.values()]
+    if len(ints) > _MAX_SCALAR_TERMS:
+        raise ParseError(f"sum of more than {_MAX_SCALAR_TERMS} terms", start)
+    if sum(map(abs, ints)) > 1 << _MAX_COEFF_BITS:
+        raise ParseError(f"sum with a 1-norm above 2^{_MAX_COEFF_BITS}", start)
     return value
 
 

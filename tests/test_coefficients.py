@@ -34,6 +34,7 @@ from qonsager.cli import table_to_json
 from qonsager.coefficients import (
     ROUTES,
     _recursion_arrays,
+    _reduced_expansions,
     advance_table,
     genfun_polynomial,
     qbinom_product_coeffs,
@@ -301,20 +302,19 @@ def test_each_product_stays_packed_across_its_factor_steps(run, monkeypatch):
 
 
 def test_reduced_expansion_is_homogeneous_in_rho0():
-    # the genfun route leaves the rho0 power of a_(i, j) implicit; the generic
-    # expansion with formal rho0 shows that it is (2r+1-i-j)/2 and that the
-    # two expansions give the same table
-    for r in range(1, 7):
+    # the genfun route runs its product at x = 1, keyed by the powers (p, j)
+    # of rho0 and y; the generic expansion with formal rho0 and x shows that
+    # each key is a table index and names the one term x^(2r+1-2p-j) y^j,
+    # whose coefficient is the signed entry times rho0^p
+    for r, expansion in enumerate(_reduced_expansions(6), 1):
         general = genfun_polynomial(r, [reduced_tridiagonal_params(s) for s in range(1, r + 1)])
-        expected = {}
-        for (i, j), value in general.items():
-            assert i + j <= 2 * r + 1, (r, i, j)
-            p, odd = divmod(2 * r + 1 - i - j, 2)
-            value = RingElement.one() * value
-            assert odd == 0 and set(value.terms) == {(p, 0)}, (r, i, j)
-            expected[(p, j)] = (-1) ** (j + p) * value.terms[(p, 0)]
-        for (p, j), value in reduced_genfun_coeffs(r).items_sorted():
-            assert value == expected.get((p, j), LaurentPoly.zero()), (r, p, j)
+        keys = expansion()
+        table = reduced_genfun_coeffs(r)
+        for (p, j), value in keys.items():
+            assert table.entry(p, j) == value, (r, p, j)
+            i = 2 * r + 1 - 2 * p - j
+            assert general[(i, j)] == (-1) ** (j + p) * RHO0 ** p * value, (r, p, j)
+        assert len(keys) == len(general)
 
 
 def test_symmetry_and_structural_properties_to_r8():

@@ -238,6 +238,83 @@ def test_print_parse_round_trip():
         assert parse_expression(x.to_string()) == x, text
 
 
+_BIG = (2 ** 4096, 2 ** 4096 - 1, 2 ** 4095 + 7, 3 ** 2500, 10 ** 1233)
+_WORDS = ("", "A", "A*", "A^2 A*", "A* A^3", "A^127 A*")
+
+
+def _random_product(rng, depth):
+    """A scalar product of big literals, wide q spans, rho monomials, [n]_q
+    and, above depth 0, powers of parenthesised sums."""
+    atoms = []
+    for _ in range(rng.choice((1, 1, 2, 3))):
+        kind = rng.randrange(6 if depth else 5)
+        if kind == 0:
+            n = rng.choice(_BIG) if rng.random() < 0.2 else rng.randint(1, 10 ** rng.randint(1, 30))
+            atoms.append(str(n))
+        elif kind == 1:
+            atoms.append(f"q^{rng.randint(-10 ** 6, 10 ** 6)}")
+        elif kind == 2:
+            atoms.append(f"q^{rng.randint(-3, 3)}")
+        elif kind == 3:
+            atoms.append(f"rho{rng.randint(0, 1)}^{rng.choice((1, 2, 3, 10 ** 6))}")
+        elif kind == 4:
+            atoms.append(f"[{rng.choice((1, 2, 3, 300, 500, 501))}]_q")
+        else:
+            inner = " + ".join(_random_product(rng, depth - 1) for _ in range(rng.randint(1, 4)))
+            power = f"^{rng.choice((2, 3, 9, 2000))}" if rng.random() < 0.3 else ""
+            atoms.append(f"({inner}){power}")
+    return "*".join(atoms)
+
+
+def _random_input(rng):
+    terms = [f"{_random_product(rng, 2)} {rng.choice(_WORDS)}" for _ in range(rng.randint(1, 5))]
+    if rng.random() < 0.3:
+        terms += terms  # repeated terms add up
+    return "".join(rng.choice(("", "- ") if i == 0 else (" + ", " - ")) + t
+                   for i, t in enumerate(terms))
+
+
+X = str(2 ** 4096)
+
+
+@pytest.mark.parametrize("text, message", [
+    (f"{X} A + {X} A", "sum with a 1-norm above 2^4096 (position 0)"),
+    (f"A + ({X} + {X}) A", "sum with a 1-norm above 2^4096 (position 5)"),
+    (f"{X} A - {X} A*", "sum with a 1-norm above 2^4096 (position 0)"),
+    (" + ".join(f"q^{k}*rho0 A" for k in range(1001)), "sum of more than 1000 terms (position 0)"),
+    ("(" + " + ".join(f"q^{k}" for k in range(1001)) + ") A",
+     "sum of more than 1000 terms (position 1)"),
+    ("[501]_q A", "scalar with room for more than 1000 terms (position 7)"),
+    ("(1+q)^1000 A", "scalar with room for more than 1000 terms (position 5)"),
+    ("(1+q)^4000 A", "scalar with room for more than 1000 terms (position 5)"),
+], ids=["2X", "(2X)", "X-X", "1001 terms", "(1001 terms)", "[501]_q", "(1+q)^1000", "(1+q)^4000"])
+def test_parse_rejects_sums_over_the_limits(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_expression(text)
+    assert str(info.value) == message
+
+
+def test_parsed_values_print_as_text_that_parses_back():
+    # a product of few terms over a wide box, and sums at the limits
+    for text in ("q^2000*rho0 A + rho0 A", "q^600*rho0 A + q^-600*rho0 A",
+                 "(q^2000 + 1)*rho0 A", "(1 + q^2000)^2 A", f"{2 ** 4096 - 1} A + A*",
+                 " + ".join(f"q^{k}*rho0 A" for k in range(1000))):
+        x = parse_expression(text)
+        assert parse_expression(x.to_string()) == x, text[:40]
+    assert parse_expression("(q^2000 + 1)*rho0 A") == parse_expression("q^2000*rho0 A + rho0 A")
+    rng = random.Random(28)
+    parsed = 0
+    for _ in range(1000):
+        text = _random_input(rng)
+        try:
+            x = parse_expression(text)
+        except ParseError:
+            continue
+        assert parse_expression(x.to_string()) == x, text[:200]
+        parsed += 1
+    assert 300 < parsed < 700
+
+
 def test_canonical_term_order():
     # graded lexicographic with A < A*
     x = ASTAR * A + A * ASTAR + A + ASTAR

@@ -1,7 +1,11 @@
 """The package's public surface, ``qonsager.__all__``, pinned name by name:
-a name added to or dropped from it shows in the diff of this file."""
+a name added to or dropped from it shows in the diff of this file.  Also no
+``assert`` statement in the package: ``python -O`` strips them, and every
+integrity check must survive it."""
 
+import ast
 import types
+from pathlib import Path
 
 import qonsager
 
@@ -32,3 +36,12 @@ def test_the_package_exports_nothing_outside_all():
     exported = {name for name, value in vars(qonsager).items()
                 if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert exported == set(PUBLIC)
+
+
+def test_no_module_has_an_assert_statement():
+    modules = sorted(Path(qonsager.__file__).parent.rglob("*.py"))
+    assert modules
+    asserts = [f"{path.name}:{node.lineno}" for path in modules
+               for node in ast.walk(ast.parse(path.read_text(), str(path)))
+               if isinstance(node, ast.Assert)]
+    assert asserts == []
