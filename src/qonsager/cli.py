@@ -48,9 +48,9 @@ EXIT_GATE = 4
 # string).  An older build took 202 s and 1.28 GiB for r = 40 with the
 # term-by-term Laurent product.
 MAX_R = 20
-# The largest matrix-check --sites.  Each site doubles the dimension and costs about
-# 6x the time: in process on the same host --sites 4 / 5 / 6 --r 1 take 0.02 / 0.09 /
-# 0.55 s, and --sites 5 --r 5 0.4 s.
+# The largest matrix-check --sites.  Each site doubles the dimension and costs 4-6x
+# the time: in process on a 2-vCPU host --sites 4 / 5 / 6 --r 1 take 0.012 / 0.049 /
+# 0.27 s CPU, and --sites 5 --r 5 0.38-0.41 s.
 MAX_SITES = 5
 
 

@@ -6,11 +6,14 @@ tensor product of two-dimensional evaluation modules:
     A  = c0 e0 q^{h0/2} + cbar0 f0 q^{h0/2} + eps0 q^{h0}
     A* = c1 e1 q^{h1/2} + cbar1 f1 q^{h1/2} + eps1 q^{h1}
 
-with rho_i = c_i cbar_i (q + q^{-1})^2.  Every entry is a Fraction; q = t^2
-so the half-weight diagonals stay rational, and ``ExactMatrix`` products skip
-the zero terms of these sparse matrices.  ``eval_ncpoly`` returns the exact
-image from integer arithmetic in one frame: every coefficient becomes an
-integer over one denominator, read off power tables of q, rho0 and rho1.
+with rho_i = c_i cbar_i (q + q^{-1})^2; q = t^2 so the half-weight diagonals
+stay rational.  An ``ExactMatrix`` is integer entries over one common
+denominator in lowest terms, so the realization is assembled in integer
+arithmetic, and its products skip the zero terms of these sparse matrices.
+``eval_ncpoly`` returns the exact image from integer arithmetic in the same
+frame: the generators are their integer entries over the lcm of their two
+denominators, and every coefficient becomes an integer over one denominator,
+read off power tables of q, rho0 and rho1.
 Each word is a head times a power of its last letter, so a relation's words
 share their head and power images and cost one product per head; suffix and
 power images are built from the nonzero entries of each generator row.
@@ -27,34 +30,52 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .exactring import RHO0, Rational
 from .freealg import A, ASTAR, GEN_A, GEN_ASTAR, NcPoly
 from .qnumbers import qint
 
-_ZERO = Fraction(0)
-
 
 class ExactMatrix:
-    """Dense square matrix over Fraction; immutable, exact."""
+    """Dense square matrix over the rationals; immutable, exact.
 
-    __slots__ = ("rows", "n")
+    Held as integer entries ``num`` over one common denominator ``den`` in
+    lowest terms: den > 0 and the gcd of den and every entry is 1, so the
+    zero matrix has den == 1 and equal matrices have equal (num, den).  Every
+    operation runs on the integers and reduces its result once; ``rows`` is
+    a read-only Fraction view of the entries.
+    """
+
+    __slots__ = ("num", "den", "n")
 
     def __init__(self, rows):
-        self.rows = tuple(tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row)
-                          for row in rows)
-        self.n = len(self.rows)
-        for row in self.rows:
-            if len(row) != self.n:
-                raise ValueError("matrix must be square")
+        rows = [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in rows]
+        self.n = len(rows)
+        if any(len(row) != self.n for row in rows):
+            raise ValueError("matrix must be square")
+        # the lcm of reduced denominators leaves the entries in lowest terms
+        self.den = math.lcm(*(x.denominator for row in rows for x in row))
+        self.num = tuple(tuple(x.numerator * (self.den // x.denominator) for x in row)
+                         for row in rows)
+
+    @classmethod
+    def _reduced(cls, num, den: int) -> "ExactMatrix":
+        """The matrix num / den, den > 0, brought to lowest terms."""
+        g = math.gcd(den, *chain.from_iterable(num))
+        if g != 1:
+            num = [[e // g for e in row] for row in num]
+        m = object.__new__(cls)
+        m.n, m.num, m.den = len(num), tuple(map(tuple, num)), den // g
+        return m
 
     @staticmethod
     def identity(n: int) -> "ExactMatrix":
-        return ExactMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return ExactMatrix._reduced([[int(i == j) for j in range(n)] for i in range(n)], 1)
 
     @staticmethod
     def zeros(n: int) -> "ExactMatrix":
-        return ExactMatrix([[0] * n for _ in range(n)])
+        return ExactMatrix._reduced([[0] * n for _ in range(n)], 1)
 
     @staticmethod
     def diagonal(values) -> "ExactMatrix":
@@ -63,41 +84,51 @@ class ExactMatrix:
         return ExactMatrix([[values[i] if i == j else 0 for j in range(n)]
                             for i in range(n)])
 
+    @property
+    def rows(self) -> tuple:
+        return tuple(tuple(Fraction(e, self.den) for e in row) for row in self.num)
+
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return self.rows == other.rows
+        return self.den == other.den and self.num == other.num
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.rows for x in row)
+        return not any(map(any, self.num))
 
     def __add__(self, other):
-        self._match(other)
-        return ExactMatrix([[a + b for a, b in zip(r1, r2)]
-                            for r1, r2 in zip(self.rows, other.rows)])
+        return self._combined(other, operator.add)
 
     def __sub__(self, other):
+        return self._combined(other, operator.sub)
+
+    def _combined(self, other, op):
+        """self op other, entrywise over the lcm of the two denominators."""
         self._match(other)
-        return ExactMatrix([[a - b for a, b in zip(r1, r2)]
-                            for r1, r2 in zip(self.rows, other.rows)])
+        den = math.lcm(self.den, other.den)
+        s, o = den // self.den, den // other.den
+        return ExactMatrix._reduced([[op(a * s, b * o) for a, b in zip(r1, r2)]
+                                     for r1, r2 in zip(self.num, other.num)], den)
 
     def __neg__(self):
-        return ExactMatrix([[-a for a in row] for row in self.rows])
+        return ExactMatrix._reduced([[-a for a in row] for row in self.num], self.den)
 
     def __mul__(self, other):
         if isinstance(other, (Fraction, int)):
-            return ExactMatrix([[a * other for a in row] for row in self.rows])
+            c = Fraction(other)
+            return ExactMatrix._reduced([[a * c.numerator for a in row] for row in self.num],
+                                        self.den * c.denominator)
         self._match(other)
         out = []
-        for row in self.rows:  # row times other, skipping the zero terms
-            acc = [_ZERO] * self.n
-            for a, orow in zip(row, other.rows):
+        for row in self.num:  # row times other, skipping the zero terms
+            acc = [0] * self.n
+            for a, orow in zip(row, other.num):
                 if a:
                     for j, b in enumerate(orow):
                         if b:
                             acc[j] += a * b
             out.append(acc)
-        return ExactMatrix(out)
+        return ExactMatrix._reduced(out, self.den * other.den)
 
     def __rmul__(self, other):
         if isinstance(other, (Fraction, int)):
@@ -105,8 +136,9 @@ class ExactMatrix:
         return NotImplemented
 
     def kron(self, other: "ExactMatrix") -> "ExactMatrix":
-        return ExactMatrix([[a * b if a and b else _ZERO for a in srow for b in orow]
-                            for srow in self.rows for orow in other.rows])
+        return ExactMatrix._reduced([[a * b for a in srow for b in orow]
+                                     for srow in self.num for orow in other.num],
+                                    self.den * other.den)
 
     def _match(self, other):
         if not isinstance(other, ExactMatrix) or other.n != self.n:
@@ -114,10 +146,6 @@ class ExactMatrix:
 
     def __repr__(self):
         return f"ExactMatrix({[[str(x) for x in row] for row in self.rows]})"
-
-
-def commutator(x: ExactMatrix, y: ExactMatrix) -> ExactMatrix:
-    return x * y - y * x
 
 
 def evaluation_rep(v: Rational, t: Rational) -> dict:
@@ -303,17 +331,19 @@ def eval_ncpoly(x: NcPoly, a: ExactMatrix, astar: ExactMatrix,
     """Evaluation homomorphism from the free algebra: letters become the
     matrices, coefficients evaluate at (q, rho0, rho1), q nonzero.
 
-    Exact, in integers and in one frame.  With d the common denominator of
-    the entries of A and A*, G_a = dA and G_s = dA*, a word w becomes
-    G^w / d^len(w).  With q = u/v and rho_i = a_i/b_i, lo and hi the least and
-    greatest q-exponent of all coefficients, E_i the greatest rho_i power and
-    L the longest word, the word w of coefficient sum c q^e rho0^e0 rho1^e1
-    adds s_w G^w to one integer total, where
+    Exact, in integers and in one frame.  With d the lcm of the denominators
+    of A and A* (``ExactMatrix.den``), G_a = dA and G_s = dA* are their
+    integer entries rescaled, and a word w becomes G^w / d^len(w).  With
+    q = u/v and rho_i = a_i/b_i, lo and hi the least and greatest q-exponent
+    of all coefficients, E_i the greatest rho_i power and L the longest word,
+    the word w of coefficient sum c q^e rho0^e0 rho1^e1 adds s_w G^w to one
+    integer total, where
 
         s_w = sum c u^(e-lo) v^(hi-e) a0^e0 b0^(E0-e0) a1^e1 b1^(E1-e1) d^(L-len w),
 
     read off power tables built once per call, and the image is
-    total u^lo / (v^hi b0^E0 b1^E1 d^L).  A word with s_w = 0 costs nothing.
+    total u^lo / (v^hi b0^E0 b1^E1 d^L), reduced once to lowest terms.  A word
+    with s_w = 0 costs nothing.
 
     Each word is split as h x^k, where x^k is its whole trailing run and the
     head h, possibly empty, is the rest; a word that is itself the head of
@@ -339,7 +369,7 @@ def eval_ncpoly(x: NcPoly, a: ExactMatrix, astar: ExactMatrix,
     qs, fq = _frame(q_val, lo, max(exps))
     r0, f0 = _frame(Fraction(rho0_val), 0, max(e0 for c in coeffs for e0, _ in c.terms))
     r1, f1 = _frame(Fraction(rho1_val), 0, max(e1 for c in coeffs for _, e1 in c.terms))
-    d = math.lcm(*(e.denominator for m in (a, astar) for row in m.rows for e in row))
+    d = math.lcm(a.den, astar.den)
     ds, fd = _frame(Fraction(1, d), 0, max(map(len, x.terms)))
     scaled = {}
     for w, c in x.terms.items():
@@ -352,7 +382,7 @@ def eval_ncpoly(x: NcPoly, a: ExactMatrix, astar: ExactMatrix,
     zero = [[0] * n for _ in range(n)]
     memo = {"": [[int(i == j) for j in range(n)] for i in range(n)]}
     for ch, m in ((GEN_A, a), (GEN_ASTAR, astar)):
-        memo[ch] = [[e.numerator * (d // e.denominator) for e in row] for row in m.rows]
+        memo[ch] = [[e * (d // m.den) for e in row] for row in m.num]
     sparse = {ch: _sparse_rows(memo[ch]) for ch in (GEN_A, GEN_ASTAR)}
 
     def image(word):
@@ -379,4 +409,5 @@ def eval_ncpoly(x: NcPoly, a: ExactMatrix, astar: ExactMatrix,
         if t:
             total = _add_scaled(total, 1, _int_matmul(m, t) if head else t)
     factor = fq * f0 * f1 * fd
-    return ExactMatrix([[factor * e for e in row] for row in total])
+    return ExactMatrix._reduced([[e * factor.numerator for e in row] for row in total],
+                                factor.denominator)

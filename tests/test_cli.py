@@ -54,6 +54,26 @@ def test_r20_exports_are_pinned():
         assert hashlib.sha256(getattr(cli, "table_to_" + fmt)(table).encode()).hexdigest() == digest, fmt
 
 
+# Exit code and SHA-256 of the stdout of qonsager matrix-check with these
+# arguments: the README's two commands and two larger realizations.
+MATRIX_CHECK_DIGESTS = {
+    "--sites 2 --t 3/2 --v 1,2 --r 3":
+        (EXIT_OK, "b446a6c34a72873c188ce4989006fd5f068908a58773897399fdf4764d124782"),
+    "--sites 1 --t 3/2 --rho0 1":
+        (EXIT_GATE, "b02b347784134a9e52f841517ffa2bffe78db5cf9792460570bfb46bed779964"),
+    "--sites 4 --r 8":
+        (EXIT_OK, "01e764f18b72e79af6da23f5dddc3b0ad41fa7e2ce31b1d1ee3339b957344338"),
+    "--sites 5 --r 2":
+        (EXIT_OK, "196786fb678460b74250f7d821325227af9ba360904654ca1625bed7eeaa9ee7"),
+}
+
+
+def test_matrix_check_output_is_pinned(capsys):
+    for args, expected in MATRIX_CHECK_DIGESTS.items():
+        code, out, _ = run(capsys, "matrix-check", *args.split())
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == expected, args
+
+
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 

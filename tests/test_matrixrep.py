@@ -1,3 +1,5 @@
+import math
+import operator
 import random
 from collections import Counter
 from fractions import Fraction
@@ -25,11 +27,14 @@ from qonsager import (
 from qonsager.coefficients import CoeffTable
 from qonsager.freealg import GEN_A
 from qonsager import matrixrep
-from qonsager.matrixrep import commutator
 from conftest import rand_ncpoly, rand_word
 
 T = Fraction(3, 2)
 Q = T * T
+
+
+def commutator(x, y):
+    return x * y - y * x
 
 
 def qnum(n, q):
@@ -62,6 +67,95 @@ def perturbed(real):
     rows = [list(row) for row in real.A.rows]
     rows[0][0] += 1
     return ExactMatrix(rows), real.Astar
+
+
+# ExactMatrix arithmetic against a plain list-of-Fraction oracle.
+
+def oracle_add(x, y):
+    return [[a + b for a, b in zip(rx, ry)] for rx, ry in zip(x, y)]
+
+
+def oracle_mul(x, y):
+    return [[sum((x[i][k] * y[k][j] for k in range(len(y))), Fraction(0))
+             for j in range(len(y))] for i in range(len(x))]
+
+
+def oracle_scale(x, c):
+    return [[a * c for a in row] for row in x]
+
+
+def oracle_kron(x, y):
+    return [[a * b for a in rx for b in ry] for rx in x for ry in y]
+
+
+def assert_is(m, oracle):
+    """m holds the oracle's entries as integers over one denominator in
+    lowest terms."""
+    n = len(oracle)
+    assert m.n == n and len(m.num) == n and all(len(row) == n for row in m.num)
+    assert type(m.den) is int and m.den > 0
+    assert all(type(e) is int for row in m.num for e in row)
+    assert math.gcd(m.den, *(e for row in m.num for e in row)) == 1
+    assert m.rows == tuple(tuple(row) for row in oracle)
+    assert m.is_zero() == all(x == 0 for row in oracle for x in row)
+    assert m.is_zero() <= (m.den == 1)
+    assert m == ExactMatrix(oracle)
+
+
+def rand_entry(rng):
+    if rng.random() < 0.3:
+        return rng.choice((0, Fraction(0)))
+    value = Fraction(rng.randint(-30, 30), rng.choice((1, 2, 3, -4, 6, 7, 9, -12, 35)))
+    return value if value.denominator != 1 or rng.random() < 0.5 else value.numerator
+
+
+def rand_rows(rng, n):
+    if rng.random() < 0.15:
+        return [[0] * n for _ in range(n)]
+    scale = rng.choice((1, 5, Fraction(1, 8)))  # a shared factor for the reduction
+    return [[rand_entry(rng) * scale for _ in range(n)] for _ in range(n)]
+
+
+def test_frame_arithmetic_matches_the_fraction_oracle():
+    rng = random.Random(45)
+    scalars = (0, 1, -1, 3, -6, Fraction(0), Fraction(-2, 3), Fraction(5, 12), Fraction(7))
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        xr, yr = rand_rows(rng, n), rand_rows(rng, n)
+        xo = [[Fraction(a) for a in row] for row in xr]
+        yo = [[Fraction(a) for a in row] for row in yr]
+        x, y = ExactMatrix(xr), ExactMatrix(yr)
+        assert_is(x, xo)
+        assert_is(y, yo)
+        assert_is(x + y, oracle_add(xo, yo))
+        assert_is(x - y, oracle_add(xo, oracle_scale(yo, -1)))
+        assert_is(x - x, oracle_scale(xo, 0))
+        assert_is(-x, oracle_scale(xo, -1))
+        assert_is(x * y, oracle_mul(xo, yo))
+        c = rng.choice(scalars)
+        assert_is(x * c, oracle_scale(xo, Fraction(c)))
+        assert_is(c * x, oracle_scale(xo, Fraction(c)))
+        m = rng.randint(1, 4)
+        zr = rand_rows(rng, m)
+        zo = [[Fraction(a) for a in row] for row in zr]
+        assert_is(x.kron(ExactMatrix(zr)), oracle_kron(xo, zo))
+        assert_is(ExactMatrix(zr).kron(x), oracle_kron(zo, xo))
+        assert (x == y) == (xo == yo)
+        assert x == ExactMatrix(xo) and x != x + ExactMatrix.identity(n)
+        assert x != xo and x != 0
+        if m != n:
+            for op in (operator.add, operator.sub, operator.mul):
+                with pytest.raises(ValueError, match="dimensions must agree"):
+                    op(x, ExactMatrix(zr))
+        values = [rand_entry(rng) for _ in range(n)]
+        diag = [[Fraction(values[i]) if i == j else Fraction(0) for j in range(n)]
+                for i in range(n)]
+        assert_is(ExactMatrix.diagonal(values), diag)
+        assert_is(ExactMatrix.identity(n), [[Fraction(int(i == j)) for j in range(n)]
+                                            for i in range(n)])
+        assert_is(ExactMatrix.zeros(n), [[Fraction(0)] * n for _ in range(n)])
+    with pytest.raises(ValueError, match="square"):
+        ExactMatrix([[1, 2], [3]])
 
 
 def test_evaluation_rep_structure():
@@ -288,7 +382,7 @@ FRAME_POLYS = {
 
 @pytest.mark.parametrize("poly", FRAME_POLYS)
 @pytest.mark.parametrize("point", FRAME_POINTS)
-def test_eval_ncpoly_frame_matches_oracle(point, poly):
+def test_eval_ncpoly_frame_matches_oracle(point, poly, monkeypatch):
     # one integer frame for every coefficient, whatever the signs of q and of
     # the q-exponents, and with rho0 or rho1 zero under rho powers
     point, x = FRAME_POINTS[point], FRAME_POLYS[poly]
@@ -297,11 +391,30 @@ def test_eval_ncpoly_frame_matches_oracle(point, poly):
     vanishing = (NcPoly.from_word("aasa", LaurentPoly({6: 4, 5: 9}) * RHO0 * RHO1)
                  + NcPoly.from_word("s" * 8, LaurentPoly({-6: 4, -7: 9}) * RHO0 ** 3 * RHO1))
     real = gate_realization(2, **GENERIC)  # eps != 0: nonzero diagonals
-    for a, astar in ((real.A, real.Astar), perturbed(real)):
+    scaled = real.Astar * Fraction(2, 7)
+    assert scaled.den not in (real.A.den, real.Astar.den)
+    generators = spy_generators(monkeypatch)
+    for a, astar in ((real.A, real.Astar), perturbed(real), (real.A, scaled)):
+        generators.clear()
         image = eval_ncpoly(x, a, astar, *point)
+        # G_a = dA and G_s = dA*, d the lcm of the denominators of all entries
+        d = math.lcm(*(e.denominator for m in (a, astar) for row in m.rows for e in row))
+        assert generators == [[[e.numerator * (d // e.denominator) for e in row]
+                               for row in m.rows] for m in (a, astar)]
         assert image == eval_by_words(x, a, astar, *point)
         assert not image.is_zero()
         assert eval_ncpoly(x + vanishing, a, astar, *point) == image
+
+
+def spy_generators(monkeypatch):
+    """Records the integer generators G_a, G_s that eval_ncpoly multiplies."""
+    seen = []
+
+    def spy(m, sparse_rows=matrixrep._sparse_rows):
+        seen.append(m)
+        return sparse_rows(m)
+    monkeypatch.setattr(matrixrep, "_sparse_rows", spy)
+    return seen
 
 
 def test_eval_ncpoly_of_zero_multiplies_nothing(monkeypatch):
