@@ -311,22 +311,21 @@ def build_parser() -> argparse.ArgumentParser:
                           help="override the c0*cbar0*(q+1/q)^2 identification")
     p_matrix.add_argument("--rho1", type=_fraction, default=None)
     p_matrix.add_argument("--out", default=None, metavar="PATH")
-    # A rational value may start with a minus sign (--t -3/2, --v -1,2);
-    # argparse reads only integers and decimals there as values, everything
-    # else that starts with "-" as an option.
-    p_matrix._negative_number_matcher = re.compile(r"^-\.?\d")
     p_matrix.set_defaults(func=cmd_matrix_check)
 
     p_reduce = sub.add_parser("reduce", help="normal form of an expression")
     p_reduce.add_argument("expression")
     p_reduce.add_argument("--trace", action="store_true")
     p_reduce.add_argument("--out", default=None, metavar="PATH")
-    # An expression may start with a minus sign (-A, -2A, -rho0*A); read
-    # "-" followed by anything but "-" as a value unless it is an option
-    # (-h).  Set after the options, so that -h does not count as a negative
-    # number option.
-    p_reduce._negative_number_matcher = re.compile(r"^-[^-]")
     p_reduce.set_defaults(func=cmd_reduce)
+
+    # A rational value (--t -3/2, --v -1,2) or an expression (-A, -rho0*A)
+    # may start with a minus sign, where argparse reads only integers and
+    # decimals as values: read "-" followed by anything but "-" as a value
+    # unless it is an option (-h).  Set after the options, so that -h does
+    # not count as a negative number option.
+    for subparser in (p_matrix, p_reduce):
+        subparser._negative_number_matcher = re.compile(r"^-[^-]")
 
     return parser
 

@@ -21,12 +21,14 @@ signs (-1)^{j+p} off the product under y -> -y, rho0 -> -rho0
 (``_reduced_expansions`` says why that is sound).
 
 Route 3 (``recursion_coeffs``): the inductive r -> r+1 step through the
-M, N and eta arrays; every division is exact and asserted.  A step runs on
-the packed values of one ``exactring.PackedRing`` of stride 2: each
-level-r entry, eta value and new leading entry is packed once, M and N stay
-packed, and only the new entries and the M and N values that the divisions
-read are unpacked, at a width that the tracked norms prove; a first width
-that turns out too narrow reruns the step (``advance_table``).
+M, N and eta arrays, with N read off M; every division is exact and
+asserted.  Each new entry is one column formula over the column parity, the
+odd and even columns alike (``_advance``).  A step runs on the packed values
+of one ``exactring.PackedRing`` of stride 2: each level-r entry, eta value
+and new leading entry is packed once, M and N stay packed, and only the new
+entries and the M and N values that the divisions read are unpacked, at a
+width that the tracked norms prove; a first width that turns out too narrow
+reruns the step (``advance_table``).
 
 ``lusztig_coeffs`` is the rho = 0 specialization (higher q-Serre
 coefficients), and ``qbinomial_theorem_check`` verifies the product/sum
@@ -224,6 +226,11 @@ def _closed_table(r: int, literal: bool, sums) -> CoeffTable:
 # ---------------------------------------------------------------------------
 
 
+def _reader(values: dict, zero):
+    """(p, j) -> values[(p, j)], and ``zero`` outside its keys."""
+    return lambda p, j: values.get((p, j), zero)
+
+
 def _recursion_arrays(table: CoeffTable, ring: PackedRing) -> tuple:
     """The level-r entries c and the arrays M^{(r,p)}_j and N^{(r,p)}_j, the
     coefficients of the once- and twice-left-multiplied relation after
@@ -234,29 +241,30 @@ def _recursion_arrays(table: CoeffTable, ring: PackedRing) -> tuple:
     the boundary entries (j = 0, the last one or two j of a row, the row
     p = r + 1 of N) are the general formula with the missing entries
     dropped, and the row p = 1 of N is the general formula at
-    c_0^{[r,0]} = 1 (its j = 0 entry vanishes).  ``_advance`` reads all
-    three as zero outside, as it reads eta off its grid, so its column
-    families need no boundary cases either.  No entry needs a proved width
-    here, since a ``Packed`` value is exact at any width: ``_advance``
-    unpacks only N(0, 3) and M(0, 2), through ``PackedRing.unpack``, and
-    checks the bounds of its family sums before it unpacks any.
+    c_0^{[r,0]} = 1 (its j = 0 entry vanishes).  N is read off M,
+    N(p, j) = M(p, j) + (c_1^2 - c_2) c(p, j-2) - c_0^{[r,1]} c(p-1, j), with M
+    read as zero outside its keys: every M that N reads there, at
+    j = 2(r-p) + 3 and in the row p = r + 1, is zero by M's own formula.
+    ``_advance`` reads all three as zero outside, as it reads eta off its
+    grid, so its column formula needs no boundary cases either.  No entry
+    needs a proved width here, since a ``Packed`` value is exact at any
+    width: ``_advance`` unpacks only N(0, 3) and M(0, 2), through
+    ``PackedRing.unpack``, and checks the bounds of its sums before it
+    unpacks any.
     """
     r = table.r
-    c = {key: ring.pack(value) for key, value in table.entries.items()}
-    zero = ring.zero
-
-    def at(p, j):
-        return c.get((p, j), zero)
-
-    c1 = c[(0, 1)]
+    cs = {key: ring.pack(value) for key, value in table.entries.items()}
+    c = _reader(cs, ring.zero)
+    c1 = cs[(0, 1)]
     c11_2 = ring.pack(table.entry(0, 1) ** 2 - table.entry(0, 2))
-    m = {(p, j): at(p, j) - c1 * at(p, j - 1)
-         for p in range(r + 1)
-         for j in range(2 if p == 0 else 0, 2 * (r - p) + 3)}
-    n = {(p, j): c11_2 * at(p, j - 2) - c1 * at(p, j - 1) + at(p, j) - at(1, 0) * at(p - 1, j)
-         for p in range(r + 2)
-         for j in range(3 if p == 0 else 0, 2 * (r - p) + 4)}
-    return c, m, n
+    ms = {(p, j): c(p, j) - c1 * c(p, j - 1)
+          for p in range(r + 1)
+          for j in range(2 if p == 0 else 0, 2 * (r - p) + 3)}
+    m = _reader(ms, ring.zero)
+    ns = {(p, j): m(p, j) + c11_2 * c(p, j - 2) - c(1, 0) * c(p - 1, j)
+          for p in range(r + 2)
+          for j in range(3 if p == 0 else 0, 2 * (r - p) + 4)}
+    return cs, ms, ns
 
 
 def seed_table() -> CoeffTable:
@@ -280,8 +288,8 @@ def advance_table(table: CoeffTable) -> CoeffTable:
     The p = 0 row is the q-binomial row; its first two entries are also
     re-derived from the vanishing conditions (with exact divisions) as a
     consistency check.  Every remaining entry follows from the read-off
-    formulas of the inductive combination; the palindromic symmetry of the
-    result is asserted, which cross-validates the overlapping families.
+    formula of the inductive combination; the palindromic symmetry of the
+    result is asserted, which cross-validates the odd and even columns.
 
     The step runs on ``Packed`` values of one ``PackedRing`` of stride 2,
     first at ``_first_width``; a value that the ring cannot prove before it
@@ -301,14 +309,15 @@ def advance_table(table: CoeffTable) -> CoeffTable:
 def _advance(table: CoeffTable, ring: PackedRing) -> dict:
     """The entries of the level-(r+1) table (``advance_table``) on ``ring``.
 
-    Every row p >= 1 comes from two column families, the odd columns
-    j = 2k + 3 and the even columns j = 2k + 2 of row p = jj - k, each one
-    formula over jj = 0..r and k = -1..jj-1.  The level-r entries, M and N
-    read as zero outside their tables (``_recursion_arrays``) and
-    eta^{(m)}_{k,2} as zero off its grid (``EtaTable.get``), so the
-    columns j = 0..5 are the k = -1, 0 and 1 passes and the row p = r + 1
-    is the k = -1 pass.  The even family's entry (1, 0) re-derives the
-    order-rho0 condition and is checked against it.
+    Every row p >= 1 comes from one column formula: the column
+    j = 2k + 2 + f of row p = jj - k, over jj = 0..r, k = -1..jj-1 and the
+    column parity f = 1, 0, sums over i = 0..jj-k the level-r entry, M and N
+    of row i at columns g, g + 1 and g + 2, g = 2(jj - i) + f.  The level-r
+    entries, M and N read as zero outside their tables
+    (``_recursion_arrays``) and eta^{(g)}_{k,2} as zero off its grid
+    (``EtaTable.get``), so the columns j = 0..5 are the k = -1, 0 and 1
+    passes and the row p = r + 1 is the k = -1 pass.  The entry (1, 0), at
+    f = 0, re-derives the order-rho0 condition and is checked against it.
     """
     r = table.r
     cs, ms, ns = _recursion_arrays(table, ring)
@@ -329,51 +338,37 @@ def _advance(table: CoeffTable, ring: PackedRing) -> dict:
            + 2 * table.entry(1, 0))
     new[(1, 0)] = c01
 
-    # the formulas below run over the packed level-r entries, M, N, new
+    # the formula below runs over the packed level-r entries, M, N, new
     # leading entries and eta values, each packed once; sums holds each
     # result, and all of them are unpacked at the end
     c1_new, c2_new, c01 = ring.pack(c1_new), ring.pack(c2_new), ring.pack(c01)
-    zero = ring.zero
+    c, m, n = (_reader(values, ring.zero) for values in (cs, ms, ns))
     etas, sums = {}, {}
 
-    def c(p, j):
-        return cs.get((p, j), zero)
-
-    def m(p, j):
-        return ms.get((p, j), zero)
-
-    def n(p, j):
-        return ns.get((p, j), zero)
-
-    def eta2(m, k):
-        value = etas.get((m, k))
+    def eta2(g, k):
+        value = etas.get((g, k))
         if value is None:
-            value = etas[(m, k)] = ring.pack(ETA.get(m, k, 2))
+            value = etas[(g, k)] = ring.pack(ETA.get(g, k, 2))
         return value
 
-    # the odd columns j = 2k + 3 and the even columns j = 2k + 2 of row
-    # p = jj - k; eta^{(m)}_{k,2} is first in each product, so a zero eta
-    # skips the big product.  The c01 terms share their level-r entry with
-    # the c2_new terms, and they run to i = jj - k too, where their eta is
-    # off the grid.  (The odd family's N terms run over odd-index N
-    # entries; the printed general form shifts them to even indices, which
-    # the oracle refutes.)
+    # column j = 2k + 2 + f of row p = jj - k, for the parity f = 1 (odd
+    # columns) and f = 0 (even columns); eta^{(g)}_{k,2} is first in each
+    # product, so a zero eta skips the big product.  The c01 terms share
+    # their level-r entry with the c2_new terms, and they run to i = jj - k
+    # too, where their eta is off the grid.  (At f = 1 the N terms run over
+    # odd-index N entries, N(i, g + 2) with g odd; the printed general form
+    # shifts them to even indices, which the oracle refutes.)
     for jj in range(r + 1):
         for k in range(-1, jj):
-            odd = even = zero
-            for i in range(jj - k + 1):
-                sgn = _sgn(i + jj + k)
-                h = 2 * (jj - i)
-                odd = odd + sgn * (
-                    eta2(h + 3, k + 1) * n(i, h + 3)
-                    + eta2(h + 2, k) * c1_new * m(i, h + 2)
-                    + (eta2(h + 1, k) * c2_new - eta2(h + 1, k + 1) * c01) * c(i, h + 1))
-                even = even + sgn * (
-                    eta2(h + 2, k) * n(i, h + 2)
-                    + eta2(h + 1, k) * c1_new * m(i, h + 1)
-                    + (eta2(h, k - 1) * c2_new - eta2(h, k) * c01) * c(i, h))
-            sums[(jj - k, 2 * k + 3)] = odd
-            sums[(jj - k, 2 * k + 2)] = even
+            for f in (1, 0):
+                total = ring.zero
+                for i in range(jj - k + 1):
+                    g = 2 * (jj - i) + f
+                    total = total + _sgn(i + jj + k) * (
+                        eta2(g + 2, k + f) * n(i, g + 2)
+                        + eta2(g + 1, k) * c1_new * m(i, g + 1)
+                        + (eta2(g, k + f - 1) * c2_new - eta2(g, k + f) * c01) * c(i, g))
+                sums[(jj - k, 2 * k + 2 + f)] = total
 
     # every bound is known before any entry is unpacked
     ring.check(max(value.sup for value in sums.values()))

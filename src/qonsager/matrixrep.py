@@ -259,16 +259,14 @@ class CoidealRealization:
 
 
 def coideal_generators(params: CoidealParams) -> CoidealRealization:
-    """Assemble the generator pair on the tensor module."""
+    """Assemble the generator pair on the tensor module:
+    A = (c0 e0 + cbar0 f0 + eps0 K0^{1/2}) K0^{1/2}, and A* the same way from
+    the index-1 generators, one product each."""
     rep = tensor_rep(params.t, params.v)
-    k0 = rep["k0h"] * rep["k0h"]
-    k1 = rep["k1h"] * rep["k1h"]
-    a = (params.c0 * (rep["e0"] * rep["k0h"])
-         + params.cbar0 * (rep["f0"] * rep["k0h"])
-         + params.eps0 * k0)
-    astar = (params.c1 * (rep["e1"] * rep["k1h"])
-             + params.cbar1 * (rep["f1"] * rep["k1h"])
-             + params.eps1 * k1)
+    a = ((params.c0 * rep["e0"] + params.cbar0 * rep["f0"] + params.eps0 * rep["k0h"])
+         * rep["k0h"])
+    astar = ((params.c1 * rep["e1"] + params.cbar1 * rep["f1"] + params.eps1 * rep["k1h"])
+             * rep["k1h"])
     return CoidealRealization(A=a, Astar=astar, q=params.q,
                               rho0=params.rho0, rho1=params.rho1)
 

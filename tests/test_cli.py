@@ -424,6 +424,23 @@ def test_matrix_check_reads_negative_rationals(capsys, option, value, code, show
     assert shown.items() <= json.loads(spaced[1].splitlines()[0]).items()
 
 
+@pytest.mark.parametrize("argv, code", [
+    (("-s",), EXIT_USAGE), (("--sites", "-1"), EXIT_USAGE),
+    (("--t", "-3/2", "--r", "-2"), EXIT_USAGE), (("--v", "-1,-2", "--sites", "2"), EXIT_OK),
+    (("--eps1", "-7/5"), EXIT_OK), (("--t", "-.5"), EXIT_OK), (("-h",), EXIT_OK),
+    (("--rho0", "-1/2"), EXIT_GATE)])
+def test_matrix_check_reads_a_leading_minus_as_reduce_does(capsys, argv, code):
+    # "-" followed by anything but "-" is a value unless it is an option
+    # (-h), on matrix-check as on reduce
+    assert run(capsys, "matrix-check", *argv)[0] == code
+
+
+def test_matrix_check_reads_a_dash_word_as_a_bad_rational(capsys):
+    code, out, err = run(capsys, "matrix-check", "--t", "-x")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "argument --t: not an exact rational: '-x'" in err
+
+
 def test_reduce_defining_monomial(capsys):
     code, out, _ = run(capsys, "reduce", "A^3 A*")
     assert code == EXIT_OK

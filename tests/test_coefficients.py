@@ -496,3 +496,15 @@ R20_JSON_DIGESTS = {
 def test_r20_exports_are_pinned(route):
     digest = hashlib.sha256(table_to_json(coeff_table(20, route)).encode()).hexdigest()
     assert digest == R20_JSON_DIGESTS[route]
+
+
+# SHA-256 of qonsager coeffs --r 16 --route recursion, recorded while the
+# recursion step still wrote its odd and even columns as two formulas and
+# built N without M.  Steps 13-16 run at PackedRing widths 80-96 bits, which
+# the r = 12 export does not reach.
+R16_RECURSION_JSON_DIGEST = "e9e3a3af7ce091551b0066d3eea74a3a642341de663bb2aee269c9e3dba483b7"
+
+
+def test_r16_recursion_export_is_pinned():
+    digest = hashlib.sha256(table_to_json(coeff_table(16, "recursion")).encode()).hexdigest()
+    assert digest == R16_RECURSION_JSON_DIGEST

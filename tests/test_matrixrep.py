@@ -1,3 +1,4 @@
+import hashlib
 import math
 import operator
 import random
@@ -235,6 +236,28 @@ def test_coideal_qserre_specialization():
         real = coideal_generators(CoidealParams(t=T, v=v, cbar0=0, cbar1=0))
         assert real.rho0 == 0 and real.rho1 == 0
         assert check_qdg(real.A, real.Astar, Fraction(0), Fraction(0), real.q)
+
+
+# SHA-256 of repr((A.num, A.den, Astar.num, Astar.den)) on 1..5 sites, with
+# both eps nonzero and four unequal c's, recorded while A was still assembled
+# as c0 e0 K0^{1/2} + cbar0 f0 K0^{1/2} + eps0 K0 from six products.
+COIDEAL_DIGESTS = {
+    1: "bc0104f51a6f34baf58a1673ff00b8fc3f4127492daaee47becebc64218f79fb",
+    2: "42ffa87ba7cf30e65cbebd821fe3ea9e6d8e58d2af7ddf88a4519f47371435ec",
+    3: "c93c104af1393e12fd6ba00420c2ba18e8ba70197f00894631369bdf89d3219e",
+    4: "5d34e01fdf3c61e0d6f009143dc03814bbd481994dad3275ad00cf0cb7287dc6",
+    5: "0da24ba97608225b7a9cfee7c45e61eb1e1e7f7113a3f12d67219861a08b1373",
+}
+
+
+@pytest.mark.parametrize("sites", sorted(COIDEAL_DIGESTS))
+def test_coideal_generators_are_pinned(sites):
+    params = CoidealParams(t=T, v=tuple(Fraction(k + 2, 3) for k in range(sites)),
+                           c0=2, c1=Fraction(-1, 2), cbar0=3, cbar1=Fraction(5, 7),
+                           eps0=Fraction(1, 3), eps1=Fraction(-2, 5))
+    real = coideal_generators(params)
+    key = repr((real.A.num, real.A.den, real.Astar.num, real.Astar.den))
+    assert hashlib.sha256(key.encode()).hexdigest() == COIDEAL_DIGESTS[sites]
 
 
 def test_gate_passes_generic_parameters():
