@@ -52,17 +52,47 @@ MAX_R = 20
 # the time: in process on a 2-vCPU host --sites 4 / 5 / 6 --r 1 take 0.012 / 0.049 /
 # 0.27 s CPU, and --sites 5 --r 5 0.38-0.41 s.
 MAX_SITES = 5
+# The most digits matrix-check reads in the numerator or the denominator of a
+# rational (``_fraction``): every 64-bit integer fits.  The cap bounds the
+# parse, not the run: with all ten values 20 digits over 20, on the host
+# above, --sites 1 --r 14 takes 15 s CPU and --sites 5 --r 2 20 s, and
+# --sites 1 --r 20 and --sites 5 --r 5 were stopped after 100 s and 300 s
+# (the defaults: 3.9 s and 0.55 s; --sites 5 --r 20 52 s).
+MAX_DIGITS = 20
 
 
 class UsageError(ValueError):
     pass
 
 
+# The text Fraction() reads, with its underscores taken out: a ratio of
+# integers, or a decimal with an optional exponent.
+_RATIONAL = re.compile(r"[-+]?(?:(\d+)\s*/\s*(\d+)|(\d*)(?:\.(\d*))?(?:[eE]([-+]?\d+))?)")
+
+
 def _fraction(text: str) -> Fraction:
+    """An argparse type: an exact rational whose numerator and denominator,
+    as written and with a decimal exponent counted, have at most MAX_DIGITS
+    digits each.  The digits are counted before the value is built, since
+    a short exponent builds a huge int (1e10000000 takes 9 s)."""
     try:
-        return Fraction(text)
+        match = _RATIONAL.fullmatch(text.replace("_", "").strip())
+        if match is None:
+            raise ValueError(text)
+        num, den, whole, part, exp = match.groups()
+        if num is not None:
+            sizes = len(num.lstrip("0")), len(den.lstrip("0"))
+        else:
+            # whole.part e exp is (whole part) / 10^len(part) * 10^exp
+            part = part or ""
+            shift = int(exp or 0) - len(part)
+            sizes = len((whole + part).lstrip("0")) + max(shift, 0), max(-shift, 0) + 1
+        if max(sizes) <= MAX_DIGITS:
+            return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from exc
+    raise argparse.ArgumentTypeError(
+        f"{text!r} has more than {MAX_DIGITS} digits in its numerator or denominator")
 
 
 def _int_in(low: int, cap: int, name: str):
@@ -108,10 +138,11 @@ def _write_line(out, line: str) -> None:
 def _json_chunks(table: CoeffTable):
     """The JSON document of ``table`` one entry at a time: the bytes of
     ``json.dumps({"r": .., "route": .., "entries": [..]}, sort_keys=True)``,
-    whose sorted top-level keys put the entries first."""
+    whose sorted top-level keys put the entries first.  sort_keys also orders
+    each Laurent dict, by its exponents as strings."""
     yield '{"entries":['
     for n, ((p, j), value) in enumerate(table.items_sorted()):
-        laurent = {str(e): str(value.terms[e]) for e in sorted(value.terms, reverse=True)}
+        laurent = {str(e): str(c) for e, c in value.terms.items()}
         entry = {"p": p, "j": j, "laurent": laurent}
         yield ("," if n else "") + json.dumps(entry, sort_keys=True, separators=(",", ":"))
     yield f'],"r":{table.r},"route":{json.dumps(table.route)}}}\n'
@@ -137,27 +168,13 @@ def _laurent_to_latex(value: LaurentPoly) -> str:
     return signed_join(pieces)
 
 
-def _shape(value: LaurentPoly) -> tuple:
-    """A nonzero LaurentPoly's greatest exponent and term count: a key that
-    is cheap to compute, unlike the hash of all its terms."""
-    return max(value.terms), len(value.terms)
-
-
-def _qbinom_index(r: int) -> dict:
-    """The [n choose k]_q for n <= 2r+2, k <= n/2, as {shape: [(value, (n, k))]}
-    in order of n and k (``_shape``)."""
-    index = {}
-    for n in range(2 * r + 3):
-        for k in range(n // 2 + 1):
-            value = qbinomial(n, k)
-            index.setdefault(_shape(value), []).append((value, (n, k)))
-    return index
-
-
 def _latex_chunks(table: CoeffTable):
-    """Rows p, j with the coefficient; entries equal to a Gaussian binomial
-    print as \\qbinom{n}{k}, everything else as a raw Laurent polynomial."""
-    index = _qbinom_index(table.r)
+    """Rows p, j with the coefficient.  Row p = 0 is the q-Serre row
+    [2r+1 choose j]_q, and an entry there equal to qbinomial(2r+1, j) prints
+    as \\qbinom{2r+1}{min(j, 2r+1-j)}; 0 and 1 print as such, and every other
+    entry as a raw Laurent polynomial.  An entry off row 0 that equals some
+    Gaussian binomial therefore prints raw too; no route builds such a table."""
+    n = 2 * table.r + 1
     one = LaurentPoly.one()
     yield (f"% coefficient table r={table.r}, route={table.route}\n"
            "% \\newcommand{\\qbinom}[2]{\\left[\\begin{smallmatrix}#1\\\\#2\\end{smallmatrix}\\right]_q}\n"
@@ -170,10 +187,10 @@ def _latex_chunks(table: CoeffTable):
             cell = "0"
         elif value == one:
             cell = "1"
+        elif p == 0 and value == qbinomial(n, j):
+            cell = f"\\qbinom{{{n}}}{{{min(j, n - j)}}}"
         else:
-            # the first equal q-binomial, else the raw polynomial
-            cell = next((f"\\qbinom{{{n}}}{{{k}}}" for binom, (n, k) in index.get(_shape(value), ())
-                         if binom == value), None) or _laurent_to_latex(value)
+            cell = _laurent_to_latex(value)
         yield f"{p} & {j} & ${cell}$ \\\\\n"
     yield "\\hline\n\\end{tabular}\n"
 

@@ -54,6 +54,25 @@ def test_r20_exports_are_pinned():
         assert hashlib.sha256(getattr(cli, "table_to_" + fmt)(table).encode()).hexdigest() == digest, fmt
 
 
+# SHA-256 of the LaTeX exports of the tables r = 1..12 of each route, joined,
+# recorded while every entry was still looked up in an index of all Gaussian
+# binomials [n k] with n <= 2r+2.  Row 0 of closed-literal prints raw and
+# lusztig has zero cells, so each route pins its own cells.
+R12_LATEX_DIGESTS = {
+    "genfun": "0da92ce8389578a49defed5e74bb020a06bdd64152c494e82a2b33f226828b25",
+    "closed": "f55bda6c5aafe3aacdf03a55823038e872e7bfd3eab271908613bdcfaa7e872c",
+    "closed-literal": "ffa181271d418c13feb7b7bfe9c03efa09e3ccaad0c6653ff2f5559eab26ff01",
+    "recursion": "d9acdd854bc62a12c188326f447f4ce05b97c263f99f678651f4b2793c53685a",
+    "lusztig": "937e53a486dce8d0ab5e1c7931393d14e6d10ffbe4dfe96fd2abb53b3a8af530",
+}
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_latex_exports_of_every_route_are_pinned(route):
+    text = "".join(cli.table_to_latex(table) for table in coeff_tables(12, route))
+    assert hashlib.sha256(text.encode()).hexdigest() == R12_LATEX_DIGESTS[route]
+
+
 # Exit code and SHA-256 of the stdout of qonsager matrix-check with these
 # arguments: the README's two commands and two larger realizations.
 MATRIX_CHECK_DIGESTS = {
@@ -547,6 +566,31 @@ def test_oversized_input_exits_2_at_once(capsys, argv, seconds):
     assert time.perf_counter() - start < seconds
 
 
+@pytest.mark.parametrize("argv, value", [
+    (("--sites", "1", "--v", "1e100000", "--r", "3"), "1e100000"),
+    (("--sites", "1", "--v", "1e1000000", "--r", "1"), "1e1000000"),
+    (("--t", "1e3000"), "1e3000"), (("--c0", "1e1000000"), "1e1000000"),
+    (("--t", "1e10000000"), "1e10000000"), (("--t", "1e20"), "1e20"),
+    (("--eps1", "-1e-20"), "-1e-20"), (("--t", "123456789012345678901/2"), "123456789012345678901/2"),
+    (("--sites", "2", "--v", "1,2.00000000000000000001"), "2.00000000000000000001")])
+def test_matrix_check_bounds_a_rational_before_it_is_built(capsys, argv, value):
+    # a short exponent would build a huge int: the digits are counted first
+    start = time.process_time()
+    code, out, err = run(capsys, "matrix-check", *argv)
+    assert time.process_time() - start < 1.0
+    assert (code, out) == (EXIT_USAGE, "")
+    assert f"{value!r} has more than 20 digits in its numerator or denominator" in err
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--t", "1e19"), ("--t", "1e-19"), ("--t", "12345678901234567890/3"), ("--t", "-0.5e1"),
+    ("--eps0", "1_000/7"), ("--c1", "0.0000000000000000001e10")])
+def test_matrix_check_reads_a_rational_at_the_digit_cap(capsys, option, value):
+    code, out, _ = run(capsys, "matrix-check", "--r", "1", option, value)
+    assert code == EXIT_OK
+    assert json.loads(out.splitlines()[-1])["zero_matrix"]
+
+
 def test_r_cap_admits_twenty(capsys):
     assert build_parser().parse_args(["coeffs", "--r", "20"]).r == 20
     code, out, err = run(capsys, "matrix-check", "--r", "21")
@@ -595,6 +639,22 @@ def test_packed_integrity_exit_survives_optimized_mode():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == EXIT_INTEGRITY, proc.stderr
     assert "negative X exponent" in proc.stderr
+
+
+def test_ungraded_memo_exit_survives_optimized_mode():
+    # a memo coefficient rho1 on A* A^3 has no packed view at all; verify must
+    # exit 3 under -O, not reduce without the term
+    script = ("import sys\n"
+              "from qonsager import RingElement, rewrite\n"
+              "from qonsager.cli import main\n"
+              "rewrite._pow_nf(3)['saaa'] = RingElement.rho1()\n"
+              "sys.exit(main(['verify', '--r-max', '2']))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qonsager.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_INTEGRITY, proc.stderr
+    assert "is not graded" in proc.stderr
 
 
 def test_reduce_syntax_error(capsys):

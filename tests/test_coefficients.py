@@ -338,6 +338,40 @@ def test_non_exact_division_is_an_integrity_error():
         advance_table(CoeffTable(r=1, route="recursion", entries=broken))
 
 
+def test_check_rejects_a_broken_mirror_or_normalization():
+    table = coeff_table(2, "genfun")
+    broken = dict(table.entries)
+    broken[(1, 0)] = broken[(1, 0)] + 1  # its mirror (1, 3) is left alone
+    with pytest.raises(AssertionError, match=r"symmetry broken at r=2 \(p=1, j=0\) via route genfun"):
+        qonsager.coefficients.CoeffTable(2, "genfun", broken).check()
+    broken = dict(table.entries)
+    broken[(0, 0)] = broken[(0, 5)] = LaurentPoly.from_int(2)  # symmetric, not 1
+    with pytest.raises(AssertionError, match=r"normalization c_0\^\[2,0\] != 1 via genfun"):
+        qonsager.coefficients.CoeffTable(2, "genfun", broken).check()
+
+
+def test_a_step_checks_its_leading_entries_against_the_qbinomial_row(monkeypatch):
+    table = coeff_table(2, "recursion")
+    monkeypatch.setattr(qonsager.coefficients, "qbinomial", lambda n, k: qbinomial(n, k) + 1)
+    with pytest.raises(AssertionError, match="vanishing conditions disagree with the q-binomial row"):
+        advance_table(table)
+
+
+def test_a_step_checks_its_entry_one_zero_against_the_order_rho0_condition(monkeypatch):
+    # N(1, 0) enters the column formula's (1, 0) entry, not the leading
+    # entries or the order-rho0 condition, so the two values of (1, 0) part
+    table = coeff_table(2, "recursion")
+    arrays = qonsager.coefficients._recursion_arrays
+
+    def shifted(table, ring):
+        cs, ms, ns = arrays(table, ring)
+        return cs, ms, {**ns, (1, 0): ns[(1, 0)] + ring.pack(LaurentPoly.one())}
+
+    monkeypatch.setattr(qonsager.coefficients, "_recursion_arrays", shifted)
+    with pytest.raises(AssertionError, match=r"recursion inconsistency at r=3 \(p=1, j=0\)"):
+        advance_table(table)
+
+
 def test_lusztig_rows():
     table = lusztig_coeffs(1)
     assert [table.entry(0, j) for j in range(4)] == [

@@ -95,6 +95,12 @@ def test_divexact_roundtrip_and_failure():
         qint(2).divexact(LaurentPoly.zero())
 
 
+def test_divexact_rejects_a_leading_remainder():
+    # the spans fit, but 3 = 1 * 2 + 1 leaves a remainder in the top term
+    with pytest.raises(ExactDivisionError, match="not divisible"):
+        LaurentPoly.from_int(3).divexact(LaurentPoly.from_int(2))
+
+
 def test_eval_qint3_at_two():
     # (2^3 - 2^-3) / (2 - 2^-1) by hand
     assert qint(3).eval_at(Fraction(2)) == Fraction(21, 4)
@@ -413,6 +419,22 @@ def test_packed_ring_values_off_its_lattice_raise():
             pack_poly({0: 1, 3: 2, 4: 5}, width, 0, 2)
     with pytest.raises(AssertionError, match="another"):
         PackedRing(16, 2).unpack(ring.pack(Q(2)))
+
+
+def test_packed_values_of_two_rings_do_not_mix():
+    # two rings of one width and stride are still two rings
+    x, y = PackedRing(16, 2).pack(qint(3)), PackedRing(16, 2).pack(qint(3))
+    with pytest.raises(AssertionError, match="a sum across packed rings"):
+        x + y
+    with pytest.raises(AssertionError, match="a product across packed rings"):
+        x * y
+
+
+def test_unpack_rejects_a_value_past_its_top_slot():
+    # 2^31 - 1 takes two 16-bit slots, and its biased digits carry out of the
+    # top one: the range check raises before any digit is read
+    with pytest.raises(AssertionError, match=r"a packed digit reaches 2\^14"):
+        unpack_poly((1 << 31) - 1, 16)
 
 
 def test_packed_ring_proves_a_width_before_it_unpacks():

@@ -403,6 +403,14 @@ def test_packed_multipliers_are_odd_mantissas_of_the_shifted_heads(width):
                 assert v << (b0 + d * s) == head << (width * (n - mw.count("a")) * s), (n, s, mw)
 
 
+def test_packed_view_rejects_a_memo_coefficient_off_the_graded_component(monkeypatch):
+    # rho1 has no place in the graded component of A^3 A*, so the coefficient
+    # of A* A^3 has no X-polynomial to pack; the packed view is built fresh
+    monkeypatch.setitem(_pow_nf(3), "saaa", RingElement.rho1())
+    with pytest.raises(AssertionError, match=r"memo coefficient of 'saaa' in NF\(A\^3 A\*\) is not graded"):
+        _packed_view(64)(3)
+
+
 def cold_mass_memo(monkeypatch):
     """Give ``_mass_bound`` a fresh l1 view, built as ``rewrite`` builds its
     own, and an empty U memo, until the test ends."""
